@@ -1,29 +1,20 @@
 //! `ccache bench` — measure replay throughput and gate against a committed baseline.
 //!
 //! The command is a thin client of [`Session::bench`]: it replays one calibrated
-//! corpus workload through every engine datapath (per-reference, batched, streamed,
-//! checkpoint-parallel), renders the versioned `ccache-bench` artefact, and — with
-//! `--baseline` — compares the machine-independent mode *ratios* against a committed
-//! artefact with a tolerance band. CI runs the gate on every push, so a change that
-//! slows the batched or streamed datapath relative to per-reference replay fails the
-//! build rather than landing silently.
+//! corpus workload through every engine datapath (per-reference, batched, streamed),
+//! renders the versioned `ccache-bench` artefact, and — with `--baseline` — compares
+//! the machine-independent mode *ratios* against a committed artefact with a
+//! tolerance band. CI runs the gate on every push, so a change that slows the batched
+//! or streamed datapath relative to per-reference replay fails the build rather than
+//! landing silently.
 //!
-//! With `--tune` the artefact also carries a `tune` section: candidate evaluations
-//! per second for the tuner's fitness datapath (fresh engines vs pooled vs pooled
-//! with warm-up checkpoint reuse, serial and parallel), whose work-reduction ratios
-//! are gated the same way when the baseline has them.
+//! # Artefact schema (version 3)
 //!
-//! # Artefact schema (version 2)
-//!
-//! All host-dependent numbers live under `timing` keys, in `ratios`, in `environment`
-//! and in the `tune` section's `elapsed_s`/`evals_per_sec`/`ratios` — strip those
-//! (`jq 'del(.modes[].timing, .batch_sweep[].timing, .segment_sweep[].timing,
-//! .ratios, .environment, .tune.modes[].elapsed_s, .tune.modes[].evals_per_sec,
-//! .tune.ratios)'`) and the rest of the artefact is byte-deterministic for a given
-//! workload and scale. The gate also accepts version-1 baselines (which predate the
-//! `tune` section): it gates only the ratios a baseline actually has, so older
-//! artefacts keep working. See DESIGN.md ("Bench artefact & datapath") for the full
-//! schema.
+//! All host-dependent numbers live under `timing` keys, in `ratios` and in
+//! `environment` — strip those (`jq 'del(.modes[].timing, .batch_sweep[].timing,
+//! .ratios, .environment)'`) and the rest of the artefact is byte-deterministic for a
+//! given workload and scale. The gate reads version-3 baselines only. See DESIGN.md
+//! ("Bench artefact & datapath") for the full schema.
 
 use crate::args::ArgParser;
 use crate::error::CliError;
@@ -35,49 +26,32 @@ use std::fmt::Write as _;
 
 /// Artefact type tag, checked by the comparator before diffing anything.
 const ARTEFACT: &str = "ccache-bench";
-/// Artefact schema version, bumped on any breaking schema change. Version 2 added the
-/// optional `tune` section.
-const VERSION: u64 = 2;
-/// Baseline schema versions the gate still reads. Version-1 artefacts simply lack the
-/// `tune` section; the gate only checks the ratios a baseline actually carries.
-const COMPATIBLE_BASELINE_VERSIONS: [u64; 2] = [1, 2];
+/// Artefact schema version, bumped on any breaking schema change. Version 3 dropped
+/// the checkpoint-parallel mode, the segment sweep and the `tune` section.
+const VERSION: u64 = 3;
 /// Default allowed fractional regression of a gated ratio.
 const DEFAULT_TOLERANCE: f64 = 0.4;
 /// The ratios the gate checks: machine-independent mode-vs-mode speedups.
-/// `checkpoint_parallel_vs_batched` is deliberately absent — it scales with the host's
-/// thread count, so gating it would make CI pass/fail depend on runner hardware.
 const GATED_RATIOS: [&str; 2] = ["batched_vs_per_reference", "streamed_vs_per_reference"];
-/// The `tune`-section ratios the gate checks. Both measure *work reduction* (pooling,
-/// warm-up reuse), not thread scaling, so they are machine-independent;
-/// `parallel_vs_serial` is deliberately absent for the same reason as above.
-const TUNE_GATED_RATIOS: [&str; 2] = ["pooled_vs_fresh", "pooled_checkpoint_vs_fresh"];
 
 /// Help text for `ccache bench`.
 pub const USAGE: &str = "\
 usage: ccache bench [options]
 
 Measures replay throughput (references/second) for every engine datapath --
-per-reference, batched, streamed from the binary trace format, and
-checkpoint-parallel -- on one calibrated corpus workload, plus batch-size and
-segment-count scaling curves. Every mode is asserted to produce identical
-replay statistics, so the datapaths can only differ in speed, never results.
+per-reference, batched, and streamed from the binary trace format -- on one
+calibrated corpus workload, plus a batch-size scaling curve. Every mode is
+asserted to produce identical replay statistics, so the datapaths can only
+differ in speed, never results.
 
 Absolute refs/sec are host-dependent; the mode-vs-mode ratios are not, and
 --baseline gates on those: the build fails if a gated ratio drops more than
 --tolerance below the committed artefact's value.
 
-With --tune the run also benchmarks the tuner's fitness datapath: candidate
-evaluations/second for fresh-engine evaluation vs pooled engines vs pooled
-engines with warm-up checkpoint reuse, serial and parallel, self-checked to
-produce identical results. The pooled-vs-fresh work-reduction ratios are gated
-when the baseline carries them.
-
 options:
   --quick, -q       reduced working sets for smoke tests
   --workload NAME   corpus workload to replay (default: mpeg-combined)
   --iterations N    timed repetitions per mode, best wins (default: 3)
-  --segments N      segment count for checkpoint-parallel replay (default: 4)
-  --tune            also benchmark the tuner fitness datapath (tune section)
   --baseline FILE   gate mode: compare ratios against a committed artefact
   --tolerance T     allowed fractional ratio regression (default: 0.4)
   --format FMT      json | csv | markdown (default: json)
@@ -97,44 +71,10 @@ fn timing_json(timing: &column_caching::bench::BenchTiming) -> Json {
     ])
 }
 
-fn tune_json(t: &column_caching::bench::TuneBenchReport) -> Json {
-    Json::obj([
-        ("candidates", (t.candidates as u64).to_json()),
-        (
-            "distinct_candidates",
-            (t.distinct_candidates as u64).to_json(),
-        ),
-        ("geometries", (t.geometries as u64).to_json()),
-        (
-            "modes",
-            Json::arr(t.modes.iter().map(|m| {
-                Json::obj([
-                    ("mode", m.mode.to_json()),
-                    ("schedule", m.schedule.to_json()),
-                    ("iterations", (m.iterations as u64).to_json()),
-                    ("elapsed_s", m.elapsed_s.to_json()),
-                    ("evals_per_sec", m.evals_per_sec.to_json()),
-                ])
-            })),
-        ),
-        (
-            "ratios",
-            Json::obj([
-                ("pooled_vs_fresh", t.ratios.pooled_vs_fresh.to_json()),
-                (
-                    "pooled_checkpoint_vs_fresh",
-                    t.ratios.pooled_checkpoint_vs_fresh.to_json(),
-                ),
-                ("parallel_vs_serial", t.ratios.parallel_vs_serial.to_json()),
-            ]),
-        ),
-    ])
-}
-
 impl ToJson for BenchArtefact {
     fn to_json(&self) -> Json {
         let r = &self.report;
-        let mut fields = vec![
+        Json::obj([
             ("artefact", ARTEFACT.to_json()),
             ("version", VERSION.to_json()),
             ("workload", r.workload.to_json()),
@@ -182,15 +122,6 @@ impl ToJson for BenchArtefact {
                 })),
             ),
             (
-                "segment_sweep",
-                Json::arr(r.segment_sweep.iter().map(|p| {
-                    Json::obj([
-                        ("segments", p.value.to_json()),
-                        ("timing", timing_json(&p.timing)),
-                    ])
-                })),
-            ),
-            (
                 "ratios",
                 Json::obj([
                     (
@@ -201,17 +132,9 @@ impl ToJson for BenchArtefact {
                         "streamed_vs_per_reference",
                         r.ratios.streamed_vs_per_reference.to_json(),
                     ),
-                    (
-                        "checkpoint_parallel_vs_batched",
-                        r.ratios.checkpoint_parallel_vs_batched.to_json(),
-                    ),
                 ]),
             ),
-        ];
-        if let Some(t) = &r.tune {
-            fields.push(("tune", tune_json(t)));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -259,41 +182,9 @@ impl Render for BenchArtefact {
         ));
         let _ = write!(
             out,
-            "\nbatched vs per-reference: {:.2}x · streamed vs per-reference: {:.2}x · \
-             checkpoint-parallel vs batched: {:.2}x\n",
-            r.ratios.batched_vs_per_reference,
-            r.ratios.streamed_vs_per_reference,
-            r.ratios.checkpoint_parallel_vs_batched,
+            "\nbatched vs per-reference: {:.2}x · streamed vs per-reference: {:.2}x\n",
+            r.ratios.batched_vs_per_reference, r.ratios.streamed_vs_per_reference,
         );
-        if let Some(t) = &r.tune {
-            let _ = write!(
-                out,
-                "\n### Tuner fitness datapath ({} candidates, {} distinct)\n\n",
-                t.candidates, t.distinct_candidates,
-            );
-            out.push_str(&markdown_table(
-                &["mode", "schedule", "elapsed (s)", "evals/sec"],
-                &t.modes
-                    .iter()
-                    .map(|m| {
-                        vec![
-                            m.mode.to_owned(),
-                            m.schedule.to_owned(),
-                            format!("{:.6}", m.elapsed_s),
-                            format!("{:.0}", m.evals_per_sec),
-                        ]
-                    })
-                    .collect::<Vec<_>>(),
-            ));
-            let _ = write!(
-                out,
-                "\npooled vs fresh: {:.2}x · pooled+checkpoint vs fresh: {:.2}x · \
-                 parallel vs serial: {:.2}x\n",
-                t.ratios.pooled_vs_fresh,
-                t.ratios.pooled_checkpoint_vs_fresh,
-                t.ratios.parallel_vs_serial,
-            );
-        }
         out
     }
 }
@@ -327,13 +218,10 @@ fn gate(report: &BenchReport, baseline: &Json, tolerance: f64) -> Result<(), Cli
         )));
     }
     let version = field("version")?;
-    if !version
-        .as_u64()
-        .is_some_and(|v| COMPATIBLE_BASELINE_VERSIONS.contains(&v))
-    {
+    if version.as_u64() != Some(VERSION) {
         return Err(io_error(format!(
-            "baseline schema version {} is not readable by this binary (version {VERSION}; \
-             accepts baselines {COMPATIBLE_BASELINE_VERSIONS:?})",
+            "baseline schema version {} is not readable by this binary (reads version \
+             {VERSION} only)",
             version.compact()
         )));
     }
@@ -353,52 +241,21 @@ fn gate(report: &BenchReport, baseline: &Json, tolerance: f64) -> Result<(), Cli
     }
 
     let mut regressions = Vec::new();
-    let mut check = |label: &str, name: &str, recorded: f64, current: f64| {
-        let floor = recorded * (1.0 - tolerance);
-        if current < floor {
-            regressions.push(format!(
-                "{label}{name}: {current:.3} < {floor:.3} (baseline {recorded:.3}, \
-                 tolerance {tolerance})"
-            ));
-        } else {
-            eprintln!("bench gate: {label}{name} {current:.3} vs baseline {recorded:.3} — ok");
-        }
-    };
-
     let ratios = field("ratios")?;
     for name in GATED_RATIOS {
         let recorded = ratios
             .get(name)
             .and_then(|v| v.as_f64())
             .ok_or_else(|| io_error(format!("baseline artefact is missing ratios.{name}")))?;
-        check("", name, recorded, current_ratio(report, name));
-    }
-
-    // The tune section is gated only when the baseline carries one (version-1
-    // baselines predate it); a baseline that has it requires a --tune run to compare.
-    if let Some(tune_baseline) = baseline.get("tune") {
-        let Some(tune) = report.tune.as_ref() else {
-            return Err(io_error(
-                "baseline has a tune section but this run did not measure one; \
-                 re-run with --tune",
+        let current = current_ratio(report, name);
+        let floor = recorded * (1.0 - tolerance);
+        if current < floor {
+            regressions.push(format!(
+                "{name}: {current:.3} < {floor:.3} (baseline {recorded:.3}, \
+                 tolerance {tolerance})"
             ));
-        };
-        let tune_ratios = tune_baseline
-            .get("ratios")
-            .ok_or_else(|| io_error("baseline artefact is missing tune.ratios"))?;
-        for name in TUNE_GATED_RATIOS {
-            let recorded = tune_ratios
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| {
-                    io_error(format!("baseline artefact is missing tune.ratios.{name}"))
-                })?;
-            let current = match name {
-                "pooled_vs_fresh" => tune.ratios.pooled_vs_fresh,
-                "pooled_checkpoint_vs_fresh" => tune.ratios.pooled_checkpoint_vs_fresh,
-                _ => unreachable!("unknown gated tune ratio {name}"),
-            };
-            check("tune.", name, recorded, current);
+        } else {
+            eprintln!("bench gate: {name} {current:.3} vs baseline {recorded:.3} — ok");
         }
     }
 
@@ -445,10 +302,6 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
     if let Some(raw) = p.value("--iterations")? {
         request.iterations = parse_usize(&p, "--iterations", &raw, 1)?;
     }
-    if let Some(raw) = p.value("--segments")? {
-        request.segments = parse_usize(&p, "--segments", &raw, 1)?;
-    }
-    request.tune = p.flag(&["--tune"]);
     let baseline_path = p.value("--baseline")?;
     let tolerance = match p.value("--tolerance")? {
         None => DEFAULT_TOLERANCE,
@@ -465,8 +318,8 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
 
     let session = Session::builder().quick(report_args.quick()).build()?;
     eprintln!(
-        "bench: replaying '{}' at {:?} scale, {} iteration(s) per mode, {} segment(s)",
-        request.workload, report_args.scale, request.iterations, request.segments
+        "bench: replaying '{}' at {:?} scale, {} iteration(s) per mode",
+        request.workload, report_args.scale, request.iterations
     );
     let report = session.bench(&request)?;
     let artefact = BenchArtefact { report };
@@ -486,25 +339,22 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
-    /// One real quick bench run (with the tune section), reused by every gate test.
+    /// One real quick bench run, reused by every gate test.
     fn measured_report() -> BenchReport {
         let session = Session::builder().quick(true).build().unwrap();
         session
             .bench(&BenchRequest {
                 workload: "fir".to_owned(),
                 iterations: 1,
-                segments: 2,
                 batch_sweep: vec![],
-                segment_sweep: vec![],
-                tune: true,
             })
             .unwrap()
     }
 
     /// A baseline carrying only the fields the gate reads, at a chosen schema version,
-    /// with ratios equal to the report's own (so the gate passes unless perturbed).
-    fn baseline(version: u64, with_tune: bool, r: &BenchReport, tune_scale: f64) -> Json {
-        let mut fields = vec![
+    /// with ratios `scale` times the report's own (so the gate passes at 1.0).
+    fn baseline(version: u64, r: &BenchReport, scale: f64) -> Json {
+        Json::obj([
             ("artefact", ARTEFACT.to_json()),
             ("version", version.to_json()),
             ("workload", r.workload.to_json()),
@@ -514,69 +364,39 @@ mod tests {
                 Json::obj([
                     (
                         "batched_vs_per_reference",
-                        r.ratios.batched_vs_per_reference.to_json(),
+                        (r.ratios.batched_vs_per_reference * scale).to_json(),
                     ),
                     (
                         "streamed_vs_per_reference",
-                        r.ratios.streamed_vs_per_reference.to_json(),
+                        (r.ratios.streamed_vs_per_reference * scale).to_json(),
                     ),
                 ]),
             ),
-        ];
-        if with_tune {
-            let t = r.tune.as_ref().expect("report has a tune section");
-            fields.push((
-                "tune",
-                Json::obj([(
-                    "ratios",
-                    Json::obj([
-                        (
-                            "pooled_vs_fresh",
-                            (t.ratios.pooled_vs_fresh * tune_scale).to_json(),
-                        ),
-                        (
-                            "pooled_checkpoint_vs_fresh",
-                            (t.ratios.pooled_checkpoint_vs_fresh * tune_scale).to_json(),
-                        ),
-                    ]),
-                )]),
-            ));
+        ])
+    }
+
+    #[test]
+    fn gate_reads_version_3_baselines_only() {
+        let report = measured_report();
+        gate(&report, &baseline(3, &report, 1.0), 0.4).unwrap();
+        for version in [1, 2, 4] {
+            let err = gate(&report, &baseline(version, &report, 1.0), 0.4).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("schema version {version}")),
+                "{err}"
+            );
         }
-        Json::obj(fields)
     }
 
     #[test]
-    fn gate_reads_baselines_of_both_schema_versions() {
+    fn gate_flags_ratio_regressions() {
         let report = measured_report();
-        // v1 baselines predate the tune section: gated on the replay ratios only
-        gate(&report, &baseline(1, false, &report, 1.0), 0.4).unwrap();
-        // v2 baselines gate the tune ratios too
-        gate(&report, &baseline(2, true, &report, 1.0), 0.4).unwrap();
-        // a v2 baseline without a tune section is still fine (sections are optional)
-        gate(&report, &baseline(2, false, &report, 1.0), 0.4).unwrap();
-    }
-
-    #[test]
-    fn gate_rejects_unknown_schema_versions() {
-        let report = measured_report();
-        let err = gate(&report, &baseline(3, false, &report, 1.0), 0.4).unwrap_err();
-        assert!(err.to_string().contains("schema version 3"));
-    }
-
-    #[test]
-    fn gate_flags_tune_ratio_regressions() {
-        let report = measured_report();
-        // the baseline claims 10x better tune ratios than this run measured
-        let err = gate(&report, &baseline(2, true, &report, 10.0), 0.4).unwrap_err();
-        assert!(err.to_string().contains("tune.pooled"), "{err}");
-    }
-
-    #[test]
-    fn gate_requires_a_tune_run_when_the_baseline_has_one() {
-        let mut report = measured_report();
-        let with_tune = baseline(2, true, &report, 1.0);
-        report.tune = None;
-        let err = gate(&report, &with_tune, 0.4).unwrap_err();
-        assert!(err.to_string().contains("--tune"), "{err}");
+        // the baseline claims 10x better ratios than this run measured
+        let err = gate(&report, &baseline(3, &report, 10.0), 0.4).unwrap_err();
+        assert!(
+            err.to_string().contains("batched_vs_per_reference"),
+            "{err}"
+        );
     }
 }

@@ -42,8 +42,8 @@ options:
   --tlb N           template TLB entries (default: 64)
   --quick, -q       reduced working sets (and budget) for smoke tests
   --metrics FILE    write the session's deterministic telemetry snapshot (JSON,
-                    counters only — includes the fitness datapath's
-                    opt.engine_pool.* and opt.warmup.* counters) to FILE
+                    counters only — includes the opt.evaluations and
+                    opt.fitness_cache.* counters) to FILE
   --format FMT      json | csv | markdown (default: json)
   --out FILE        write the report in FMT to FILE instead of stdout
   --help, -h        show this help

@@ -95,7 +95,7 @@ fn bench_artefact_is_deterministic_modulo_timing() {
     let out_a = tmp("bench-quick-a.json");
     let out_b = tmp("bench-quick-b.json");
     for out in [&out_a, &out_b] {
-        run_cli(&["bench", "--quick", "--tune", "--out", out.to_str().unwrap()]);
+        run_cli(&["bench", "--quick", "--out", out.to_str().unwrap()]);
     }
     let a = strip_timing(parse(&out_a));
     let b = strip_timing(parse(&out_b));
@@ -109,7 +109,7 @@ fn bench_artefact_is_deterministic_modulo_timing() {
         a.get("artefact").and_then(|v| v.as_str()),
         Some("ccache-bench")
     );
-    assert_eq!(a.get("version").and_then(|v| v.as_u64()), Some(2));
+    assert_eq!(a.get("version").and_then(|v| v.as_u64()), Some(3));
     let modes: Vec<&str> = a
         .get("modes")
         .and_then(|m| m.as_arr())
@@ -119,38 +119,27 @@ fn bench_artefact_is_deterministic_modulo_timing() {
         .collect();
     assert_eq!(
         modes,
-        [
-            "per_reference",
-            "batched",
-            "streamed",
-            "checkpoint_parallel"
-        ],
+        ["per_reference", "batched", "streamed"],
         "bench artefact must report every replay mode"
     );
-    let tune_modes: Vec<(&str, &str)> = a
-        .get("tune")
-        .and_then(|t| t.get("modes"))
-        .and_then(|m| m.as_arr())
-        .expect("tune.modes array")
-        .iter()
-        .filter_map(|m| {
-            Some((
-                m.get("mode").and_then(|v| v.as_str())?,
-                m.get("schedule").and_then(|v| v.as_str())?,
-            ))
-        })
-        .collect();
+    let ccache_json::Json::Obj(pairs) = &a else {
+        panic!("bench artefact is an object")
+    };
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(
-        tune_modes,
+        keys,
         [
-            ("fresh", "serial"),
-            ("fresh", "parallel"),
-            ("pooled", "serial"),
-            ("pooled", "parallel"),
-            ("pooled_checkpoint", "serial"),
-            ("pooled_checkpoint", "parallel"),
+            "artefact",
+            "version",
+            "workload",
+            "quick",
+            "backend",
+            "references",
+            "result",
+            "modes",
+            "batch_sweep"
         ],
-        "tune section must report every fitness datapath under both schedules"
+        "version-3 artefact sections (host-dependent keys stripped)"
     );
 }
 
@@ -166,13 +155,7 @@ fn strip_timing(doc: ccache_json::Json) -> ccache_json::Json {
         ccache_json::Json::Obj(pairs) => ccache_json::Json::Obj(
             pairs
                 .into_iter()
-                .filter(|(k, _)| {
-                    k != "timing"
-                        && k != "ratios"
-                        && k != "environment"
-                        && k != "elapsed_s"
-                        && k != "evals_per_sec"
-                })
+                .filter(|(k, _)| k != "timing" && k != "ratios" && k != "environment")
                 .map(|(k, v)| (k, strip_timing(v)))
                 .collect(),
         ),

@@ -14,21 +14,46 @@
 //! * the backend is a `Box<dyn MemoryBackend>`, so the same engine drives the column
 //!   cache, the set-associative baseline or the ideal scratchpad.
 
-use crate::checkpoint::ReplayCheckpoints;
 use crate::error::CoreError;
 use crate::observe::{ReplayObserver, WindowTracker};
 use crate::runner::{CacheMapping, RunResult};
 use ccache_sim::backend::{BackendKind, MemoryBackend};
 use ccache_sim::registry::BackendRegistry;
 use ccache_sim::SystemConfig;
-use ccache_telemetry::{Counter, Registry, Span};
-use ccache_trace::Trace;
+use ccache_telemetry::{Counter, Registry};
+use ccache_trace::binfmt::TraceReader;
+use ccache_trace::{MemAccess, Trace};
 
 /// References handed to the backend per [`MemoryBackend::run_batch`] call.
 ///
 /// Large enough to amortise the per-batch bookkeeping and keep the last-page translation
 /// cache effective, small enough that the staging buffer stays in L1/L2.
 const DEFAULT_BATCH: usize = 4096;
+
+/// Why the in-memory replay methods unwrap: only a [`Source::Reader`] can fail.
+const IN_MEMORY: &str = "in-memory replay sources cannot fail";
+
+/// Where a replay's references come from.
+enum Source<'a> {
+    /// An in-memory trace, staged into the engine buffer one batch at a time.
+    Trace(&'a [MemAccess]),
+    /// Already-decoded references, handed to [`MemoryBackend::run_batch`] directly.
+    Refs(&'a [(u64, bool)]),
+    /// A streaming decoder, read into the engine buffer one batch at a time.
+    Reader(&'a mut dyn ReadChunk),
+}
+
+/// [`TraceReader::read_chunk`] behind a trait object, so the replay loop is not
+/// generic over the reader's byte source.
+trait ReadChunk {
+    fn read_chunk(&mut self, buf: &mut Vec<(u64, bool)>, max: usize) -> std::io::Result<usize>;
+}
+
+impl<R: std::io::BufRead> ReadChunk for TraceReader<R> {
+    fn read_chunk(&mut self, buf: &mut Vec<(u64, bool)>, max: usize) -> std::io::Result<usize> {
+        TraceReader::read_chunk(self, buf, max)
+    }
+}
 
 /// Batched trace replay over a pluggable, snapshottable memory backend.
 ///
@@ -67,7 +92,7 @@ pub struct ReplayEngine {
     telemetry: EngineTelemetry,
 }
 
-/// Pre-resolved telemetry handles, bound once per engine so the replay loops never
+/// Pre-resolved telemetry handles, bound once per engine so the replay loop never
 /// touch the registry. All accounting happens *after* a replay finishes (the counters
 /// are fed from the backend's own statistics), so the hot loop is untouched and results
 /// stay byte-identical with or without a registry attached.
@@ -81,8 +106,6 @@ struct EngineTelemetry {
     memo_translation_hits: Counter,
     memo_tint_hits: Counter,
     coalesced_windows: Counter,
-    checkpoint_segments: Counter,
-    checkpoint_warmup: Span,
 }
 
 impl EngineTelemetry {
@@ -96,8 +119,6 @@ impl EngineTelemetry {
             memo_translation_hits: registry.counter("engine.memo.translation_hits"),
             memo_tint_hits: registry.counter("engine.memo.tint_hits"),
             coalesced_windows: registry.counter("engine.observe.coalesced_windows"),
-            checkpoint_segments: registry.counter("engine.checkpoint.segments"),
-            checkpoint_warmup: registry.span("engine.checkpoint.warmup"),
         }
     }
 
@@ -168,7 +189,7 @@ impl ReplayEngine {
     /// Rebinds the engine's telemetry to `registry` (the process-wide
     /// [`Registry::global`] is bound at construction). Sessions and servers that own a
     /// private registry route their engines here; results are unaffected — telemetry
-    /// accounting happens outside the replay loops, from statistics the backend
+    /// accounting happens outside the replay loop, from statistics the backend
     /// maintains anyway.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = EngineTelemetry::bind(registry);
@@ -186,7 +207,7 @@ impl ReplayEngine {
 
     /// Overrides the batch size (mainly for tests and the bench harness; 0 is treated
     /// as 1). This is the **only** place the ≥ 1 invariant is enforced — the replay
-    /// loops rely on it and never re-clamp.
+    /// loop relies on it and never re-clamps.
     pub fn set_batch_size(&mut self, batch: usize) {
         self.batch = batch.max(1);
     }
@@ -280,44 +301,24 @@ impl ReplayEngine {
     /// beforehand are carried into the result. The result is bit-identical to
     /// per-reference replay — batching only changes wall-clock time.
     pub fn replay(&mut self, name: &str, trace: &Trace) -> RunResult {
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let mut batches = 0u64;
-        for chunk in trace.as_slice().chunks(self.batch) {
-            self.buffer.clear();
-            self.buffer
-                .extend(chunk.iter().map(|ev| (ev.addr, ev.is_write())));
-            self.backend.run_batch(&self.buffer);
-            batches += 1;
-        }
-        self.telemetry.record_replay(self.backend.as_ref(), batches);
-        crate::runner::collect_result(name, self.backend.as_ref(), control_before)
+        self.run(name, Source::Trace(trace.as_slice()), None)
+            .expect(IN_MEMORY)
     }
 
     /// As [`ReplayEngine::replay`], over already-decoded `(addr, is_write)` references.
     ///
-    /// This is the fitness datapath's hot loop: the tuner decodes the trace once into a
-    /// shared arena and every candidate replays from it, so the per-replay staging copy
-    /// of [`ReplayEngine::replay`] disappears — chunks of `refs` go to
-    /// [`MemoryBackend::run_batch`] directly. Batch boundaries are identical to the
-    /// trace path, so for the same event stream the result is byte-identical.
+    /// The tuner decodes its trace once into a shared arena and every candidate replays
+    /// from it: chunks of `refs` go to [`MemoryBackend::run_batch`] directly, with no
+    /// staging copy. Batch boundaries are identical to the trace path, so for the same
+    /// event stream the result is byte-identical.
     pub fn replay_refs(&mut self, name: &str, refs: &[(u64, bool)]) -> RunResult {
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let mut batches = 0u64;
-        for chunk in refs.chunks(self.batch) {
-            self.backend.run_batch(chunk);
-            batches += 1;
-        }
-        self.telemetry.record_replay(self.backend.as_ref(), batches);
-        crate::runner::collect_result(name, self.backend.as_ref(), control_before)
+        self.run(name, Source::Refs(refs), None).expect(IN_MEMORY)
     }
 
-    /// Replays a binary-format trace straight from a streaming
-    /// [`TraceReader`](ccache_trace::binfmt::TraceReader), without materialising it in
-    /// memory: events are decoded into the engine's staging buffer one batch at a time
-    /// and fed to [`MemoryBackend::run_batch`], so a trace file larger than RAM replays
-    /// in bounded memory.
+    /// Replays a binary-format trace straight from a streaming [`TraceReader`], without
+    /// materialising it in memory: events are decoded into the engine's staging buffer
+    /// one batch at a time and fed to [`MemoryBackend::run_batch`], so a trace file
+    /// larger than RAM replays in bounded memory.
     ///
     /// Statistics behave exactly like [`ReplayEngine::replay`], and for the same event
     /// stream the results are bit-identical (property-tested in
@@ -330,25 +331,9 @@ impl ReplayEngine {
     pub fn replay_reader<R: std::io::BufRead>(
         &mut self,
         name: &str,
-        reader: &mut ccache_trace::binfmt::TraceReader<R>,
+        reader: &mut TraceReader<R>,
     ) -> std::io::Result<RunResult> {
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let mut batches = 0u64;
-        loop {
-            self.buffer.clear();
-            if reader.read_chunk(&mut self.buffer, self.batch)? == 0 {
-                break;
-            }
-            self.backend.run_batch(&self.buffer);
-            batches += 1;
-        }
-        self.telemetry.record_replay(self.backend.as_ref(), batches);
-        Ok(crate::runner::collect_result(
-            name,
-            self.backend.as_ref(),
-            control_before,
-        ))
+        self.run(name, Source::Reader(reader), None)
     }
 
     /// As [`ReplayEngine::replay`], with a streaming [`ReplayObserver`] receiving one
@@ -358,8 +343,7 @@ impl ReplayEngine {
     /// Window boundaries only shorten *batch* boundaries, and batch size never changes
     /// statistics, so the returned [`RunResult`] is byte-identical to an unobserved
     /// [`ReplayEngine::replay`] of the same trace (property-tested in
-    /// `tests/observer_parity.rs`). The unobserved path stays a separate function that
-    /// never consults an observer, so turning observation off costs literally nothing.
+    /// `tests/observer_parity.rs`).
     pub fn replay_observed(
         &mut self,
         name: &str,
@@ -367,31 +351,12 @@ impl ReplayEngine {
         window: u64,
         observer: &mut dyn ReplayObserver,
     ) -> RunResult {
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let mut tracker = WindowTracker::new(window);
-        let events = trace.as_slice();
-        let mut pos = 0usize;
-        let mut batches = 0u64;
-        while pos < events.len() {
-            let n = (tracker.until_boundary(pos as u64) as usize)
-                .min(self.batch)
-                .min(events.len() - pos);
-            self.buffer.clear();
-            self.buffer.extend(
-                events[pos..pos + n]
-                    .iter()
-                    .map(|ev| (ev.addr, ev.is_write())),
-            );
-            self.backend.run_batch(&self.buffer);
-            pos += n;
-            batches += 1;
-            tracker.observe(self.backend.as_ref(), observer, pos == events.len());
-        }
-        self.telemetry.record_replay(self.backend.as_ref(), batches);
-        self.telemetry
-            .record_observed_tail(self.backend.as_ref(), window);
-        crate::runner::collect_result(name, self.backend.as_ref(), control_before)
+        self.run(
+            name,
+            Source::Trace(trace.as_slice()),
+            Some((window, observer)),
+        )
+        .expect(IN_MEMORY)
     }
 
     /// As [`ReplayEngine::replay_reader`], with a streaming [`ReplayObserver`] — the
@@ -404,112 +369,73 @@ impl ReplayEngine {
     pub fn replay_reader_observed<R: std::io::BufRead>(
         &mut self,
         name: &str,
-        reader: &mut ccache_trace::binfmt::TraceReader<R>,
+        reader: &mut TraceReader<R>,
         window: u64,
         observer: &mut dyn ReplayObserver,
     ) -> std::io::Result<RunResult> {
+        self.run(name, Source::Reader(reader), Some((window, observer)))
+    }
+
+    /// The replay loop behind every public replay method.
+    ///
+    /// Each batch holds at most [`ReplayEngine::batch_size`] references and, when
+    /// observed, never crosses a window boundary. After each batch the window tracker
+    /// emits any completed window; once the source is exhausted it flushes the final
+    /// partial window. Telemetry is fed from the backend's statistics after the loop.
+    fn run(
+        &mut self,
+        name: &str,
+        mut source: Source<'_>,
+        observed: Option<(u64, &mut dyn ReplayObserver)>,
+    ) -> std::io::Result<RunResult> {
         let control_before = self.backend.control_cycles();
         self.backend.reset_stats();
-        let mut tracker = WindowTracker::new(window);
-        let mut replayed = 0u64;
+        let mut observed =
+            observed.map(|(window, observer)| (window, WindowTracker::new(window), observer));
+        let mut pos = 0usize;
         let mut batches = 0u64;
         loop {
-            let cap = (tracker.until_boundary(replayed) as usize)
-                .min(self.batch)
-                .max(1);
+            let cap = match &observed {
+                Some((_, tracker, _)) => {
+                    (tracker.until_boundary(pos as u64) as usize).min(self.batch)
+                }
+                None => self.batch,
+            };
             self.buffer.clear();
-            if reader.read_chunk(&mut self.buffer, cap)? == 0 {
+            let chunk: &[(u64, bool)] = match &mut source {
+                Source::Trace(events) => {
+                    let end = (pos + cap).min(events.len());
+                    self.buffer
+                        .extend(events[pos..end].iter().map(|ev| (ev.addr, ev.is_write())));
+                    &self.buffer
+                }
+                Source::Refs(refs) => &refs[pos..(pos + cap).min(refs.len())],
+                Source::Reader(reader) => {
+                    reader.read_chunk(&mut self.buffer, cap)?;
+                    &self.buffer
+                }
+            };
+            if chunk.is_empty() {
                 break;
             }
-            self.backend.run_batch(&self.buffer);
-            replayed += self.buffer.len() as u64;
+            self.backend.run_batch(chunk);
+            pos += chunk.len();
             batches += 1;
-            tracker.observe(self.backend.as_ref(), observer, false);
+            if let Some((_, tracker, observer)) = &mut observed {
+                tracker.observe(self.backend.as_ref(), &mut **observer, false);
+            }
         }
-        // Flush the final partial window now that the stream length is known.
-        tracker.observe(self.backend.as_ref(), observer, true);
         self.telemetry.record_replay(self.backend.as_ref(), batches);
-        self.telemetry
-            .record_observed_tail(self.backend.as_ref(), window);
+        if let Some((window, mut tracker, observer)) = observed {
+            tracker.observe(self.backend.as_ref(), observer, true);
+            self.telemetry
+                .record_observed_tail(self.backend.as_ref(), window);
+        }
         Ok(crate::runner::collect_result(
             name,
             self.backend.as_ref(),
             control_before,
         ))
-    }
-
-    /// Records per-segment [`ReplayCheckpoints`] for `trace` with one sequential
-    /// warm-up replay: the trace is split into `segments` contiguous ranges (clamped to
-    /// `1..=trace.len()`), the backend is cloned at each boundary, and the segments can
-    /// then replay concurrently via [`ReplayCheckpoints::replay`] with results
-    /// byte-identical to [`ReplayEngine::replay`].
-    ///
-    /// The warm-up behaves exactly like [`ReplayEngine::replay`] as far as the engine
-    /// is concerned — statistics are reset first and the backend ends in the
-    /// whole-trace end state — only the [`RunResult`] assembly is deferred to the
-    /// checkpoints.
-    pub fn checkpoint(&mut self, trace: &Trace, segments: usize) -> ReplayCheckpoints {
-        let events = trace.as_slice();
-        let segments = segments.clamp(1, events.len().max(1));
-        let bounds = crate::checkpoint::segment_bounds(events.len(), segments);
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let warmup = self.telemetry.checkpoint_warmup.start();
-        let mut checkpoints = Vec::with_capacity(segments);
-        for s in 0..segments {
-            checkpoints.push(self.backend.boxed_clone());
-            for chunk in events[bounds[s]..bounds[s + 1]].chunks(self.batch) {
-                self.buffer.clear();
-                self.buffer
-                    .extend(chunk.iter().map(|ev| (ev.addr, ev.is_write())));
-                self.backend.run_batch(&self.buffer);
-            }
-        }
-        drop(warmup);
-        self.telemetry.checkpoint_segments.add(segments as u64);
-        ReplayCheckpoints::new(
-            checkpoints,
-            bounds,
-            events.len(),
-            control_before,
-            self.batch,
-        )
-    }
-
-    /// As [`ReplayEngine::checkpoint`], over already-decoded `(addr, is_write)`
-    /// references from a shared trace arena. The warm-up feeds subslices of `refs` to
-    /// the backend directly (no staging copy); segment boundaries, statistics handling
-    /// and the backend's end state are identical to the trace path, so the recorded
-    /// checkpoints replay byte-identically.
-    pub fn checkpoint_refs(&mut self, refs: &[(u64, bool)], segments: usize) -> ReplayCheckpoints {
-        let segments = segments.clamp(1, refs.len().max(1));
-        let bounds = crate::checkpoint::segment_bounds(refs.len(), segments);
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let warmup = self.telemetry.checkpoint_warmup.start();
-        let mut checkpoints = Vec::with_capacity(segments);
-        for s in 0..segments {
-            checkpoints.push(self.backend.boxed_clone());
-            for chunk in refs[bounds[s]..bounds[s + 1]].chunks(self.batch) {
-                self.backend.run_batch(chunk);
-            }
-        }
-        drop(warmup);
-        self.telemetry.checkpoint_segments.add(segments as u64);
-        ReplayCheckpoints::new(checkpoints, bounds, refs.len(), control_before, self.batch)
-    }
-
-    /// Convenience: [`ReplayEngine::checkpoint`] followed by one
-    /// [`ReplayCheckpoints::replay`] — a checkpoint-parallel replay of one trace whose
-    /// result is byte-identical to the sequential [`ReplayEngine::replay`].
-    ///
-    /// The warm-up pass is itself a full sequential replay, so a single
-    /// checkpoint-parallel run is *not* faster than `replay`; the win comes from
-    /// keeping the checkpoints and replaying the same trace many times (fitness loops,
-    /// benchmarking), or treating the warm-up as the first of many measured runs.
-    pub fn replay_checkpointed(&mut self, name: &str, trace: &Trace, segments: usize) -> RunResult {
-        let checkpoints = self.checkpoint(trace, segments);
-        checkpoints.replay(name, trace)
     }
 }
 
@@ -586,41 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_does_not_change_results() {
-        let t = trace();
-        let mut small = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        small.set_batch_size(3);
-        let mut large = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        large.set_batch_size(1 << 20);
-        assert_eq!(small.replay("x", &t), large.replay("x", &t));
-    }
-
-    #[test]
-    fn refs_paths_match_the_trace_paths() {
-        let t = trace();
-        let refs: Vec<(u64, bool)> = t
-            .as_slice()
-            .iter()
-            .map(|ev| (ev.addr, ev.is_write()))
-            .collect();
-        let m = mapping();
-
-        let mut a = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        a.apply(&m).unwrap();
-        let mut b = a.clone();
-        let from_trace = a.replay("x", &t);
-        let from_refs = b.replay_refs("x", &refs);
-        assert_eq!(from_trace, from_refs);
-
-        // checkpoint_refs reproduces the sequential result through both replay paths
-        let mut c = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        c.apply(&m).unwrap();
-        let cps = c.checkpoint_refs(&refs, 3);
-        assert_eq!(cps.replay_refs("x", &refs), from_refs);
-        assert_eq!(cps.replay("x", &t), from_refs);
-    }
-
-    #[test]
     fn snapshot_reset_round_trips_state() {
         let t = trace();
         let m = mapping();
@@ -686,22 +577,80 @@ mod tests {
         assert_eq!(results[1], results[2]);
     }
 
+    /// Every public replay entry point — `&Trace`, refs slice and `TraceReader`,
+    /// unobserved and observed — over every batch size, including an empty trace:
+    /// identical results, identical batch counts across sources, and identical window
+    /// series between in-memory and streamed observation and across batch sizes.
     #[test]
-    fn streaming_replay_matches_in_memory_replay() {
-        let t = trace();
-        let m = mapping();
-        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        engine.apply(&m).unwrap();
-        engine.snapshot();
-        let in_memory = engine.replay("x", &t);
+    fn every_replay_source_agrees() {
+        use crate::observe::SeriesRecorder;
+        use ccache_trace::binfmt::write_trace;
 
-        let mut bytes = Vec::new();
-        ccache_trace::binfmt::write_trace(&t, &mut bytes).unwrap();
-        engine.reset();
-        let mut reader = ccache_trace::binfmt::TraceReader::new(&bytes[..]).unwrap();
-        let streamed = engine.replay_reader("x", &mut reader).unwrap();
+        let engine = |batch: usize, registry: &Registry| {
+            let mut e = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
+            e.apply(&mapping()).unwrap();
+            e.set_batch_size(batch);
+            e.set_telemetry(registry);
+            e
+        };
+        for t in [ccache_trace::Trace::new(), trace()] {
+            let refs: Vec<(u64, bool)> = t
+                .as_slice()
+                .iter()
+                .map(|ev| (ev.addr, ev.is_write()))
+                .collect();
+            let mut bytes = Vec::new();
+            write_trace(&t, &mut bytes).unwrap();
+            let oracle = engine(DEFAULT_BATCH, &Registry::new()).replay("x", &t);
+            assert_eq!(oracle.references, t.len() as u64);
+            let windows = [1, 7, 4097, t.len() as u64];
+            let mut first_series = Vec::new();
 
-        assert_eq!(in_memory, streamed);
+            for batch in [1, 3, 4096] {
+                let case = format!("len={} batch={batch}", t.len());
+                let mut batches = Vec::new();
+                for source in 0..3 {
+                    let registry = Registry::new();
+                    let mut e = engine(batch, &registry);
+                    let result = match source {
+                        0 => e.replay("x", &t),
+                        1 => e.replay_refs("x", &refs),
+                        _ => e
+                            .replay_reader("x", &mut TraceReader::new(&bytes[..]).unwrap())
+                            .unwrap(),
+                    };
+                    assert_eq!(result, oracle, "{case} source={source}");
+                    batches.push(registry.counter_value("engine.batches"));
+                }
+                assert_eq!(batches, [t.len().div_ceil(batch) as u64; 3], "{case}");
+
+                for (w, &window) in windows.iter().enumerate() {
+                    let case = format!("{case} window={window}");
+                    let (in_memory, streamed) = (Registry::new(), Registry::new());
+                    let mut a = SeriesRecorder::new(window);
+                    let from_trace =
+                        engine(batch, &in_memory).replay_observed("x", &t, window, &mut a);
+                    let mut b = SeriesRecorder::new(window);
+                    let mut reader = TraceReader::new(&bytes[..]).unwrap();
+                    let from_reader = engine(batch, &streamed)
+                        .replay_reader_observed("x", &mut reader, window, &mut b)
+                        .unwrap();
+                    assert_eq!(from_trace, oracle, "{case}");
+                    assert_eq!(from_reader, oracle, "{case}");
+                    assert_eq!(a.series().samples, b.series().samples, "{case}");
+                    if first_series.len() == w {
+                        first_series.push(a.series().samples.clone());
+                    }
+                    assert_eq!(a.series().samples, first_series[w], "{case}");
+                    assert_eq!(a.series().total_references(), t.len() as u64, "{case}");
+                    assert_eq!(
+                        in_memory.counter_value("engine.batches"),
+                        streamed.counter_value("engine.batches"),
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //!   ([`runner::CacheMapping`]) and replay traces ([`runner::run_trace`]).
 //! * [`placement`] — relocate program variables (page alignment, scratchpad packing)
 //!   before an experiment.
+//! * [`engine`] — the batched [`ReplayEngine`]: one replay loop over an in-memory
+//!   trace, a decoded reference slice or a streaming binary-trace reader, optionally
+//!   observed window by window ([`observe`]).
 //! * [`fitness`] — the replay engine packaged as a fitness function for configuration
-//!   search ([`fitness::ReplayFitness`]): pooled engines, a shared trace arena, warm-up
-//!   checkpoint reuse, and order-preserving parallel batches.
+//!   search ([`fitness::ReplayFitness`]): one fresh engine per candidate over a trace
+//!   decoded once, with order-preserving parallel batches.
 //! * [`partition`] — the Figure 4 scratchpad/cache partition sweep.
 //! * [`dynamic`] — the dynamically remapped column-cache run of Figure 4(d).
 //! * [`multitask`] — the Figure 5 multitasking CPI-vs-quantum experiment.
@@ -43,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod checkpoint;
 pub mod dynamic;
 pub mod engine;
 pub mod error;
@@ -56,11 +58,10 @@ pub mod placement;
 pub mod report;
 pub mod runner;
 
-pub use checkpoint::ReplayCheckpoints;
 pub use dynamic::{run_dynamic, run_dynamic_observed, DynamicRunResult, Figure4dResult};
 pub use engine::ReplayEngine;
 pub use error::CoreError;
-pub use fitness::{Candidate, FitnessMode, ReplayFitness};
+pub use fitness::{Candidate, ReplayFitness};
 pub use multitask::{
     quantum_sweep, run_multitasking, JobMetrics, MultitaskConfig, MultitaskRun, QuantumSeries,
     SharingPolicy,
@@ -77,11 +78,10 @@ pub use runner::{run_on, run_trace, run_trace_on, CacheMapping, RegionMapping, R
 
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {
-    pub use crate::checkpoint::ReplayCheckpoints;
     pub use crate::dynamic::{run_dynamic, Figure4dResult};
     pub use crate::engine::ReplayEngine;
     pub use crate::error::CoreError;
-    pub use crate::fitness::{Candidate, FitnessMode, ReplayFitness};
+    pub use crate::fitness::{Candidate, ReplayFitness};
     pub use crate::multitask::{quantum_sweep, run_multitasking, MultitaskConfig, SharingPolicy};
     pub use crate::partition::{partition_sweep, PartitionConfig, PartitionSweep};
     pub use crate::report::SweepReport;

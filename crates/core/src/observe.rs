@@ -11,12 +11,11 @@
 //! * [`ReplayEvent`]s at phase boundaries and dynamic remaps
 //!   ([`run_dynamic_observed`](crate::dynamic::run_dynamic_observed)).
 //!
-//! Observation is free when it is off: the unobserved replay paths
-//! ([`ReplayEngine::replay`](crate::ReplayEngine::replay) and friends) do not take an
-//! observer at all — they are the exact pre-observer code — and the observed paths
-//! produce byte-identical [`RunResult`](crate::runner::RunResult)s because window
-//! boundaries only change *batch* boundaries, which never change statistics
-//! (property-tested in `tests/observer_parity.rs`).
+//! Observed and unobserved replays share the engine's one replay loop; without an
+//! observer it never builds a window tracker. The observed methods produce
+//! byte-identical [`RunResult`](crate::runner::RunResult)s because window boundaries
+//! only change *batch* boundaries, which never change statistics (property-tested in
+//! `tests/observer_parity.rs`).
 
 use ccache_sim::backend::MemoryBackend;
 use ccache_sim::{CycleReport, MemoryStats};
@@ -108,7 +107,7 @@ pub trait ReplayObserver: Send {
 }
 
 /// The do-nothing observer: both hooks are empty bodies, so attaching it costs two
-/// inlined no-op calls per window — and the unobserved replay paths do not even do
+/// inlined no-op calls per window — and the unobserved replay methods do not even do
 /// that, as they never take an observer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
@@ -201,7 +200,7 @@ impl ReplayObserver for SeriesRecorder {
     }
 }
 
-/// Per-replay window bookkeeping shared by the observed replay paths of
+/// Per-replay window bookkeeping for the observed replays of
 /// [`ReplayEngine`](crate::ReplayEngine): tracks the statistics snapshot at the current
 /// window's start and emits delta samples at boundaries.
 pub(crate) struct WindowTracker {

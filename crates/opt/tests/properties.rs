@@ -8,12 +8,10 @@
 //! * a fixed seed produces an identical best result (and convergence log) with
 //!   thread-parallel evaluation on and off.
 
-use ccache_core::FitnessMode;
 use ccache_opt::{
-    tune, Evaluator, Fitness, GeometrySearch, ProgressLog, SearchSpace, StrategyKind, TuneRequest,
+    tune, Evaluator, GeometrySearch, ProgressLog, SearchSpace, StrategyKind, TuneRequest,
 };
 use ccache_sim::SystemConfig;
-use ccache_telemetry::Registry;
 use ccache_trace::{AccessKind, SymbolTable, Trace, TraceRecorder, VarId};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -92,57 +90,6 @@ proptest! {
                 }
             }
             genome = space.mutate(&genome, &mut rng);
-        }
-    }
-
-    /// The amortized fitness datapaths are invisible: for any random duplicate-heavy,
-    /// geometry-diverse batch, pooled and pooled-checkpoint evaluation return
-    /// bit-identical [`Fitness`] values and identical `opt.evaluations` /
-    /// `opt.fitness_cache.*` counter deltas as the fresh-engine oracle, with
-    /// thread-parallel evaluation on and off.
-    #[test]
-    fn pooled_datapaths_match_the_fresh_oracle(
-        seed in 0u64..1_000_000,
-        dup in 1usize..4,
-        joint in any::<bool>(),
-    ) {
-        let (t, s) = workload(4, 200);
-        let search = if joint { GeometrySearch::standard() } else { GeometrySearch::fixed() };
-        let space = SearchSpace::build(&t, &s, template(), &search, &[]).expect("space builds");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut genomes = Vec::new();
-        for _ in 0..6 {
-            let g = space.random(&mut rng);
-            for _ in 0..dup {
-                genomes.push(g.clone());
-            }
-        }
-
-        let run = |mode: FitnessMode, serial: bool| {
-            let registry = Registry::new();
-            let mut eval = Evaluator::new(&space, t.clone(), 100, serial);
-            eval.set_telemetry(&registry);
-            eval.set_fitness_mode(mode);
-            let scores = eval.evaluate_batch(&genomes).unwrap();
-            let bits: Vec<Option<(u64, u64, u64, u64)>> = scores
-                .iter()
-                .map(|f| f.map(|f: Fitness| (f.misses, f.cycles, f.references, f.miss_rate.to_bits())))
-                .collect();
-            let counters = (
-                registry.counter_value("opt.evaluations"),
-                registry.counter_value("opt.fitness_cache.hits"),
-                registry.counter_value("opt.fitness_cache.misses"),
-            );
-            (bits, counters)
-        };
-
-        let (oracle, oracle_counters) = run(FitnessMode::Fresh, true);
-        for mode in [FitnessMode::Pooled, FitnessMode::PooledCheckpoint] {
-            for serial in [false, true] {
-                let (bits, counters) = run(mode, serial);
-                prop_assert_eq!(&bits, &oracle, "fitness mismatch in {:?} serial={}", mode, serial);
-                prop_assert_eq!(counters, oracle_counters);
-            }
         }
     }
 

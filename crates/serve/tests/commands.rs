@@ -39,6 +39,46 @@ fn run_executes_inline_specs() {
 }
 
 #[test]
+fn replaying_a_trace_that_declares_too_many_events_is_an_error_frame() {
+    use ccache_trace::binfmt::write_trace;
+    use ccache_trace::synth::sequential_scan;
+
+    let dir = std::env::temp_dir().join("ccache-serve-crafted-trace");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut bytes = Vec::new();
+    write_trace(&sequential_scan(0, 512, 32, 4, 1, None), &mut bytes).expect("encode");
+    bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let path = dir.join("declares-2^40.cct");
+    std::fs::write(&path, &bytes).expect("write crafted trace");
+
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // `shared` streams the file; `heuristic` decodes it into memory first.
+    for policy in ["shared", "heuristic"] {
+        let reply = client
+            .request(&Json::obj([
+                ("cmd", "replay".to_json()),
+                ("trace", path.to_string_lossy().into_owned().to_json()),
+                ("policy", policy.to_json()),
+            ]))
+            .expect("replay reply");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let message = reply
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .expect("error message");
+        assert!(message.contains("declares"), "{policy}: {message}");
+    }
+    // the server keeps serving
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn uploaded_traces_replay_by_name_everywhere() {
     let mut server = spawn_test_server(|_| {}).expect("bind test server");
     let mut client = Client::connect(server.addr()).expect("connect");

@@ -173,20 +173,6 @@ impl ColumnCache {
         self.stats = CacheStats::new(self.columns);
     }
 
-    /// Returns the cache to exactly its just-constructed state — every line invalid,
-    /// replacement state re-seeded, statistics zeroed — without reallocating the tag,
-    /// validity or replacement vectors. This is the allocation-free alternative to
-    /// rebuilding the cache that the pooled fitness datapath takes between candidates.
-    pub fn clear(&mut self) {
-        self.tags.fill(0);
-        self.valid.fill(0);
-        self.dirty.fill(0);
-        for (i, repl) in self.repl.iter_mut().enumerate() {
-            repl.reset(i as u64 + 1);
-        }
-        self.stats = CacheStats::new(self.columns);
-    }
-
     /// Splits an address into `(tag, set index)` with the precomputed shift/mask pair —
     /// the allocation- and division-free equivalent of
     /// [`CacheConfig::split_addr`](crate::config::CacheConfig::split_addr).
@@ -528,16 +514,6 @@ mod tests {
         let (_set, col, addr) = lines[0];
         assert_eq!(col, 1);
         assert_eq!(addr, 0xa000);
-    }
-
-    #[test]
-    fn clear_matches_fresh_construction() {
-        let mut c = small_cache();
-        for i in 0..64u64 {
-            c.access(0x1000 + i * 96, i % 2 == 0, ColumnMask::all(4));
-        }
-        c.clear();
-        assert_eq!(c, small_cache());
     }
 
     #[test]

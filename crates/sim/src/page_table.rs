@@ -129,14 +129,6 @@ impl PageTable {
         (first..=last).collect()
     }
 
-    /// Drops every explicit entry and zeroes the write counter, returning the table to
-    /// its just-constructed state (same page size). Used when a pooled engine is recycled
-    /// between candidates; unlike the `set_*` operations it costs no modelled writes.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.entry_writes = 0;
-    }
-
     /// Number of pages with an explicit (non-default) entry.
     pub fn configured_pages(&self) -> usize {
         self.entries.len()

@@ -79,19 +79,6 @@ impl ReplacementState {
         }
     }
 
-    /// Returns the state to exactly what [`ReplacementState::new`] with the same policy,
-    /// way count and `seed` would produce — in place, without reallocating the per-way
-    /// vectors. The pooled fitness datapath resets thousands of sets per candidate, so
-    /// this path must stay allocation-free.
-    pub fn reset(&mut self, seed: u64) {
-        self.use_stamp.fill(0);
-        self.fill_stamp.fill(0);
-        self.mru_bit.fill(false);
-        self.clock = 0;
-        self.next_rr = 0;
-        self.rng = seed | 1;
-    }
-
     /// Number of ways tracked.
     pub fn ways(&self) -> usize {
         self.use_stamp.len()
@@ -334,20 +321,6 @@ mod tests {
     fn empty_mask_yields_no_victim() {
         let mut st = ReplacementState::new(ReplacementPolicy::Lru, 4, 1);
         assert_eq!(st.victim(ColumnMask::EMPTY, all_valid(4)), None);
-    }
-
-    #[test]
-    fn reset_matches_fresh_construction() {
-        for policy in ReplacementPolicy::ALL {
-            let mut st = ReplacementState::new(policy, 4, 9);
-            for w in 0..4 {
-                st.on_fill(w);
-                st.on_access(w);
-            }
-            st.victim(ColumnMask::all(4), all_valid(4));
-            st.reset(9);
-            assert_eq!(st, ReplacementState::new(policy, 4, 9), "{policy}");
-        }
     }
 
     #[test]

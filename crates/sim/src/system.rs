@@ -190,21 +190,8 @@ impl MemorySystem {
     /// programming; to restore a *programmed* warm state between sweep points, the replay
     /// engine snapshots with [`MemoryBackend::boxed_clone`](crate::backend::MemoryBackend)
     /// instead.
-    ///
-    /// The reset is performed in place — the cache's tag/validity/replacement vectors are
-    /// rewound rather than reallocated — because the pooled fitness datapath calls this
-    /// between every pair of candidates. The result is indistinguishable from a fresh
-    /// [`MemorySystem::new`] (the structures derive `PartialEq`; a test pins equality).
     pub fn full_reset(&mut self) {
-        self.cache.clear();
-        self.tlb.clear();
-        self.page_table.clear();
-        self.tints.reset();
-        self.scratchpad = None;
-        self.memory.reset();
-        self.stats = MemoryStats::default();
-        self.memo = BatchMemoStats::default();
-        self.control_cycles = 0;
+        *self = MemorySystem::new(self.config).expect("config was validated at construction");
     }
 
     // ------------------------------------------------------------------

@@ -59,17 +59,6 @@ impl TintTable {
         self.columns
     }
 
-    /// Returns the table to its just-constructed state: only [`Tint::DEFAULT`] mapped to
-    /// every column, remap counter zeroed. This is the tint-table rewrite entry point the
-    /// pooled fitness datapath uses between candidates — a recycled engine starts from a
-    /// pristine table before the next candidate's mapping is applied.
-    pub fn reset(&mut self) {
-        self.map.clear();
-        self.map
-            .insert(Tint::DEFAULT, ColumnMask::all(self.columns));
-        self.remaps = 0;
-    }
-
     /// Defines or redefines the mask of a tint.
     ///
     /// # Errors
@@ -215,15 +204,6 @@ mod tests {
         assert!(skipped.contains(&Tint(1)));
         assert!(skipped.contains(&Tint::DEFAULT));
         assert_eq!(t.mask_of(Tint(1)), Some(ColumnMask::single(0)));
-    }
-
-    #[test]
-    fn reset_restores_the_default_only_table() {
-        let mut t = TintTable::new(4);
-        t.define(Tint(1), ColumnMask::single(2)).unwrap();
-        t.make_exclusive(Tint(2), ColumnMask::single(0)).unwrap();
-        t.reset();
-        assert_eq!(t, TintTable::new(4));
     }
 
     #[test]

@@ -84,16 +84,6 @@ impl Tlb {
         self.stats = TlbStats::default();
     }
 
-    /// Returns the TLB to its just-constructed state: no resident entries, clock and
-    /// statistics zeroed. Unlike [`Tlb::flush_all`] this is not a modelled hardware
-    /// operation — nothing is counted — which is what an engine pool needs when it
-    /// recycles a backend between tuner candidates.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.clock = 0;
-        self.stats = TlbStats::default();
-    }
-
     /// Looks up the page containing `addr`, filling from `page_table` on a miss.
     ///
     /// Returns the page entry and whether the lookup hit in the TLB.

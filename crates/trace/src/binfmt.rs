@@ -66,6 +66,11 @@ pub const HEADER_LEN: usize = 16;
 /// memory on uniform-kind streams (the format allows consecutive same-kind runs).
 const MAX_RUN: usize = 4096;
 
+/// Most events [`TraceReader::read_to_trace`] reserves room for up front. The header's
+/// event count is untrusted input, so a larger declaration grows the trace only as
+/// events actually decode.
+const MAX_PREALLOCATED_EVENTS: usize = 1 << 20;
+
 /// The decoded fixed header of a binary trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceHeader {
@@ -383,9 +388,11 @@ impl<R: BufRead> TraceReader<R> {
     ///
     /// # Errors
     ///
-    /// Fails on truncated or malformed input.
+    /// Fails on truncated or malformed input, including a header that declares more
+    /// events than the body holds.
     pub fn read_to_trace(&mut self) -> io::Result<Trace> {
-        let mut t = Trace::with_capacity(usize::try_from(self.remaining()).unwrap_or(0));
+        let declared = usize::try_from(self.remaining()).unwrap_or(usize::MAX);
+        let mut t = Trace::with_capacity(declared.min(MAX_PREALLOCATED_EVENTS));
         while let Some(ev) = self.next_event()? {
             t.push(ev);
         }
@@ -557,6 +564,22 @@ mod tests {
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let result: io::Result<Vec<MemAccess>> = reader.by_ref().collect();
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn huge_declared_counts_are_errors_not_allocations() {
+        let trace = sequential_scan(0, 512, 32, 4, 1, None);
+        let mut bytes = Vec::new();
+        write_trace(&trace, &mut bytes).unwrap();
+        for declared in [1u64 << 40, 1u64 << 62] {
+            bytes[8..16].copy_from_slice(&declared.to_le_bytes());
+            let err = TraceReader::new(&bytes[..])
+                .unwrap()
+                .read_to_trace()
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{declared}: {err}");
+            assert!(err.to_string().contains("declares"), "{declared}: {err}");
+        }
     }
 
     #[test]

@@ -75,10 +75,7 @@ pub use ccache_telemetry as telemetry;
 pub use ccache_trace as trace;
 pub use ccache_workloads as workloads;
 
-pub use bench::{
-    BenchEnvironment, BenchMode, BenchRatios, BenchReport, BenchRequest, TuneBenchMode,
-    TuneBenchRatios, TuneBenchReport,
-};
+pub use bench::{BenchEnvironment, BenchMode, BenchRatios, BenchReport, BenchRequest};
 pub use session::{Replayed, Session, SessionBuilder, SessionError};
 
 /// The most commonly used items from every crate in the workspace.

@@ -446,11 +446,10 @@ impl Session {
     }
 
     /// Measures replay throughput for a corpus workload across every engine datapath —
-    /// per-reference, batched, streamed and checkpoint-parallel — plus batch-size and
-    /// segment-count scaling curves. See [`crate::bench`] for what a
-    /// [`BenchReport`](crate::bench::BenchReport) contains and which of its numbers are
-    /// machine-independent; the `ccache bench` CLI command is a thin client of this
-    /// method.
+    /// per-reference, batched and streamed — plus a batch-size scaling curve. See
+    /// [`crate::bench`] for what a [`BenchReport`](crate::bench::BenchReport) contains
+    /// and which of its numbers are machine-independent; the `ccache bench` CLI command
+    /// is a thin client of this method.
     ///
     /// # Errors
     ///

@@ -26,13 +26,16 @@ fn observed_tuning_reports_identical_metrics_across_runs() {
             None,
         )
         .expect("tune");
+        let evaluations = registry.counter_value("opt.evaluations");
+        let cache_misses = registry.counter_value("opt.fitness_cache.misses");
         (
             outcome.to_json().pretty(),
             registry.snapshot_deterministic().pretty(),
+            (evaluations, cache_misses),
         )
     };
-    let (outcome_a, snapshot_a) = run();
-    let (outcome_b, snapshot_b) = run();
+    let (outcome_a, snapshot_a, (evaluations, cache_misses)) = run();
+    let (outcome_b, snapshot_b, _) = run();
     assert_eq!(outcome_a, outcome_b, "tuning itself is deterministic");
     assert_eq!(
         snapshot_a, snapshot_b,
@@ -41,9 +44,9 @@ fn observed_tuning_reports_identical_metrics_across_runs() {
     assert!(snapshot_a.contains("opt.generations"));
     assert!(snapshot_a.contains("opt.evaluations"));
     assert!(snapshot_a.contains("opt.best.misses"));
-    // the amortized fitness datapath reports its pool and warm-up activity too
-    assert!(snapshot_a.contains("opt.engine_pool.hits"));
-    assert!(snapshot_a.contains("opt.engine_pool.builds"));
-    assert!(snapshot_a.contains("opt.warmup.reused"));
-    assert!(snapshot_a.contains("opt.warmup.full"));
+    // the fitness cache reports its activity: every miss is exactly one replay
+    assert!(snapshot_a.contains("opt.fitness_cache.hits"));
+    assert!(snapshot_a.contains("opt.fitness_cache.misses"));
+    assert!(evaluations >= 1);
+    assert_eq!(cache_misses, evaluations);
 }
