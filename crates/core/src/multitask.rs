@@ -5,13 +5,18 @@
 //! often it is interrupted (the context-switch quantum). With a mapped column cache job A
 //! owns a set of columns exclusively and the other jobs share the remainder, so job A's
 //! CPI is both lower and nearly independent of the quantum.
+//!
+//! Replay is schedule-free ([`run_multitasking_on`]): one `run_batch` per quantum,
+//! straight from the issuing job's trace. At small quanta that is a long run of tiny
+//! batches, which stays cheap because the column cache's replay memo persists across
+//! batches.
 
 use crate::error::CoreError;
 use crate::parallel::par_map;
 use ccache_sim::backend::{build_backend, BackendKind, MemoryBackend};
 use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig, Tint};
 use ccache_trace::Trace;
-use ccache_workloads::multitask::{round_robin, Job, Schedule};
+use ccache_workloads::multitask::{quanta, Job};
 
 /// Configuration of the multitasking experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,42 +147,12 @@ fn address_span(trace: &Trace) -> (u64, u64) {
     (stats.min_addr, stats.max_addr + 1)
 }
 
-/// Replays an interleaved schedule, attributing cycles and references to the issuing
-/// job. The schedule is contiguous per quantum, so each owner-run is handed to the
-/// backend as one batch (same statistics as per-reference replay, less overhead).
-fn replay_schedule(
-    system: &mut dyn MemoryBackend,
-    schedule: &Schedule,
-    jobs: usize,
-    quantum: usize,
-) -> (Vec<u64>, Vec<u64>) {
-    let mut per_job_cycles = vec![0u64; jobs];
-    let mut per_job_refs = vec![0u64; jobs];
-    let events = schedule.merged.as_slice();
-    let owners = &schedule.owner;
-    let mut batch: Vec<(u64, bool)> = Vec::with_capacity(quantum.min(events.len()).max(1));
-    let mut start = 0usize;
-    while start < events.len() {
-        let owner = owners[start];
-        let mut end = start + 1;
-        while end < events.len() && owners[end] == owner {
-            end += 1;
-        }
-        batch.clear();
-        batch.extend(events[start..end].iter().map(|ev| (ev.addr, ev.is_write())));
-        per_job_cycles[owner] += system.run_batch(&batch);
-        per_job_refs[owner] += (end - start) as u64;
-        start = end;
-    }
-    (per_job_cycles, per_job_refs)
-}
-
 /// Runs one multitasking experiment point on the column cache.
 ///
 /// # Errors
 ///
-/// Returns an error if the cache geometry is invalid or the mapped configuration requests
-/// more exclusive columns than exist.
+/// Returns an error if the quantum is zero, the cache geometry is invalid or the mapped
+/// configuration requests more exclusive columns than exist.
 pub fn run_multitasking(
     jobs: &[Job],
     quantum: usize,
@@ -193,10 +168,15 @@ pub fn run_multitasking(
 /// kinds), the run degrades to the shared behaviour — useful for checking that the
 /// benefit really comes from the mapping.
 ///
+/// Replay is schedule-free: each quantum of the round-robin schedule ([`quanta`]) is
+/// staged from the issuing job's own trace into one reused buffer and handed to the
+/// backend as one batch, so cycles are attributed per job without building a merged
+/// trace or an owner vector.
+///
 /// # Errors
 ///
-/// Returns an error if the cache geometry is invalid or the mapped configuration requests
-/// more exclusive columns than exist.
+/// Returns an error if the quantum is zero, the cache geometry is invalid or the mapped
+/// configuration requests more exclusive columns than exist.
 pub fn run_multitasking_on(
     kind: BackendKind,
     jobs: &[Job],
@@ -204,9 +184,27 @@ pub fn run_multitasking_on(
     config: &MultitaskConfig,
     policy: SharingPolicy,
 ) -> Result<MultitaskRun, CoreError> {
+    let mut system = prepare_backend(kind, jobs, quantum, config, policy)?;
+    let totals = replay_quanta(system.as_mut(), jobs, quantum);
+    Ok(totals.into_run(jobs, quantum, config, policy))
+}
+
+/// Validates a multitasking point and builds its backend, programmed for `policy`.
+fn prepare_backend(
+    kind: BackendKind,
+    jobs: &[Job],
+    quantum: usize,
+    config: &MultitaskConfig,
+    policy: SharingPolicy,
+) -> Result<Box<dyn MemoryBackend>, CoreError> {
     if jobs.is_empty() {
         return Err(CoreError::BadExperiment {
             reason: "no jobs supplied".to_owned(),
+        });
+    }
+    if quantum == 0 {
+        return Err(CoreError::BadExperiment {
+            reason: "quantum must be positive".to_owned(),
         });
     }
     if config.critical_job_columns >= config.columns {
@@ -233,38 +231,86 @@ pub fn run_multitasking_on(
             system.tint_range(lo..hi, tint);
         }
     }
+    Ok(system)
+}
 
-    let schedule: Schedule = round_robin(jobs, quantum);
-    let (per_job_cycles, per_job_refs) =
-        replay_schedule(system.as_mut(), &schedule, jobs.len(), quantum);
+/// Per-job totals of a replayed round-robin schedule.
+#[derive(Debug)]
+struct JobTotals {
+    cycles: Vec<u64>,
+    references: Vec<u64>,
+    context_switches: u64,
+}
 
-    let lat = config.latency;
-    let jobs_metrics = jobs
-        .iter()
-        .enumerate()
-        .map(|(j, job)| {
-            let instructions = per_job_refs[j] * lat.instructions_per_reference;
-            let compute = instructions * lat.compute_cycles_per_instruction;
-            let total = compute + per_job_cycles[j];
-            JobMetrics {
-                name: job.name.clone(),
-                references: per_job_refs[j],
-                memory_cycles: per_job_cycles[j],
-                instructions,
-                cpi: if instructions == 0 {
-                    0.0
-                } else {
-                    total as f64 / instructions as f64
-                },
-            }
-        })
-        .collect();
-    Ok(MultitaskRun {
-        quantum,
-        policy,
-        jobs: jobs_metrics,
-        context_switches: schedule.context_switches,
-    })
+impl JobTotals {
+    fn new(jobs: usize) -> Self {
+        JobTotals {
+            cycles: vec![0; jobs],
+            references: vec![0; jobs],
+            context_switches: 0,
+        }
+    }
+
+    /// Per-job metrics of the totals under `config`'s latency model.
+    fn into_run(
+        self,
+        jobs: &[Job],
+        quantum: usize,
+        config: &MultitaskConfig,
+        policy: SharingPolicy,
+    ) -> MultitaskRun {
+        let lat = config.latency;
+        let jobs = jobs
+            .iter()
+            .enumerate()
+            .map(|(j, job)| {
+                let instructions = self.references[j] * lat.instructions_per_reference;
+                let compute = instructions * lat.compute_cycles_per_instruction;
+                let total = compute + self.cycles[j];
+                JobMetrics {
+                    name: job.name.clone(),
+                    references: self.references[j],
+                    memory_cycles: self.cycles[j],
+                    instructions,
+                    cpi: if instructions == 0 {
+                        0.0
+                    } else {
+                        total as f64 / instructions as f64
+                    },
+                }
+            })
+            .collect();
+        MultitaskRun {
+            quantum,
+            policy,
+            jobs,
+            context_switches: self.context_switches,
+        }
+    }
+}
+
+/// Replays the round-robin schedule straight from the job traces: each quantum is staged
+/// into one reused buffer and handed to the backend as one batch.
+fn replay_quanta(system: &mut dyn MemoryBackend, jobs: &[Job], quantum: usize) -> JobTotals {
+    let mut totals = JobTotals::new(jobs.len());
+    let mut last_job: Option<usize> = None;
+    let longest = jobs.iter().map(|j| j.trace.len()).max().unwrap_or(0);
+    let mut batch: Vec<(u64, bool)> = Vec::with_capacity(quantum.min(longest));
+    for (j, range) in quanta(jobs, quantum) {
+        if last_job.is_some_and(|last| last != j) {
+            totals.context_switches += 1;
+        }
+        last_job = Some(j);
+        totals.references[j] += range.len() as u64;
+        batch.clear();
+        batch.extend(
+            jobs[j].trace.as_slice()[range]
+                .iter()
+                .map(|ev| (ev.addr, ev.is_write())),
+        );
+        totals.cycles[j] += system.run_batch(&batch);
+    }
+    totals
 }
 
 /// One series of Figure 5: the critical job's CPI at every quantum, for one cache size and
@@ -324,6 +370,7 @@ pub fn quantum_sweep(
 mod tests {
     use super::*;
     use ccache_workloads::gzipsim::{run_gzip_job, GzipConfig};
+    use ccache_workloads::multitask::round_robin;
 
     fn small_jobs() -> Vec<Job> {
         (0..3)
@@ -401,6 +448,103 @@ mod tests {
         cfg.critical_job_columns = 8;
         assert!(run_multitasking(&jobs, 16, &cfg, SharingPolicy::Mapped).is_err());
         assert!(run_multitasking(&[], 16, &tiny_cache(), SharingPolicy::Shared).is_err());
+    }
+
+    #[test]
+    fn zero_quantum_is_a_typed_error() {
+        let jobs = small_jobs();
+        let err = run_multitasking(&jobs, 0, &tiny_cache(), SharingPolicy::Shared).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::BadExperiment { reason } if reason.contains("quantum")),
+            "unexpected error: {err}"
+        );
+    }
+
+    /// Replays `round_robin`'s materialised schedule one reference at a time through
+    /// `access`: the plain model the schedule-free batched replay must match.
+    fn per_reference_oracle(
+        jobs: &[Job],
+        quantum: usize,
+        config: &MultitaskConfig,
+        policy: SharingPolicy,
+    ) -> MultitaskRun {
+        let mut system =
+            prepare_backend(BackendKind::ColumnCache, jobs, quantum, config, policy).unwrap();
+        let schedule = round_robin(jobs, quantum);
+        let mut totals = JobTotals::new(jobs.len());
+        for (j, ev) in schedule.iter() {
+            totals.cycles[j] += system.access(ev.addr, ev.is_write());
+            totals.references[j] += 1;
+        }
+        totals.context_switches = schedule.context_switches;
+        totals.into_run(jobs, quantum, config, policy)
+    }
+
+    #[test]
+    fn replay_matches_the_per_reference_schedule_oracle() {
+        // Unequal lengths, so jobs drop out of the rotation at different quanta.
+        let jobs: Vec<Job> = [600usize, 1500, 2400]
+            .iter()
+            .enumerate()
+            .map(|(j, &input_len)| {
+                let cfg = GzipConfig {
+                    input_len,
+                    ..GzipConfig::small()
+                }
+                .with_seed(7 + j as u64);
+                let run = run_gzip_job(&cfg, 0x100_0000 * (j as u64 + 1), &format!("gzip-{j}"));
+                Job::new(run.name, run.trace)
+            })
+            .collect();
+        assert!(jobs[0].trace.len() < jobs[1].trace.len());
+        assert!(jobs[1].trace.len() < jobs[2].trace.len());
+        let cfg = tiny_cache();
+        for quantum in [1usize, 2, 3, 7, 64, 1 << 20] {
+            for policy in [SharingPolicy::Shared, SharingPolicy::Mapped] {
+                let got = run_multitasking(&jobs, quantum, &cfg, policy).unwrap();
+                let want = per_reference_oracle(&jobs, quantum, &cfg, policy);
+                assert_eq!(got, want, "quantum {quantum}, {policy:?}");
+            }
+        }
+    }
+
+    /// Machine-independent work gate: at quantum 1 every batch holds one reference, so
+    /// only a memo that persists across batches can absorb the TLB scans. The jobs are
+    /// Figure 5's (seed 41 + j, base 0x100_0000 * (j + 1)) at a small input length.
+    #[test]
+    fn quantum_one_replay_hits_the_persistent_translation_memo() {
+        let jobs: Vec<Job> = (0..3u64)
+            .map(|j| {
+                let cfg = GzipConfig {
+                    input_len: 3000,
+                    ..GzipConfig::small()
+                }
+                .with_seed(41 + j);
+                let run = run_gzip_job(&cfg, 0x100_0000 * (j + 1), "gzip");
+                Job::new(run.name, run.trace)
+            })
+            .collect();
+        let cfg = MultitaskConfig::cache_16k();
+        let mut system = prepare_backend(
+            BackendKind::ColumnCache,
+            &jobs,
+            1,
+            &cfg,
+            SharingPolicy::Shared,
+        )
+        .unwrap();
+        replay_quanta(system.as_mut(), &jobs, 1);
+        let references = system.stats().references;
+        let hits = system.memo_stats().translation_hits;
+        assert_eq!(
+            references,
+            jobs.iter().map(|j| j.trace.len() as u64).sum::<u64>()
+        );
+        let ratio = hits as f64 / references as f64;
+        assert!(
+            ratio >= 0.95,
+            "translation memo hit ratio {ratio:.3} < 0.95"
+        );
     }
 
     #[test]

@@ -858,6 +858,11 @@ impl MultitaskGrid {
             None => defaults.quanta,
             Some(v) => usize_list(v, "'quanta'")?,
         };
+        if quanta.contains(&0) {
+            return Err(bad(
+                "'quanta' must be positive (a zero quantum never runs a job)",
+            ));
+        }
         for axis in [
             (configs.is_empty(), "configs"),
             (policies.is_empty(), "policies"),
@@ -1012,6 +1017,10 @@ mod tests {
             (
                 r#"{"name":"x","multitask":[{"policies":["exclusive"]}]}"#,
                 "shared",
+            ),
+            (
+                r#"{"name":"x","multitask":[{"quanta":[4, 0]}]}"#,
+                "'quanta' must be positive",
             ),
             (
                 r#"{"name":"x","replay":[{"workloads":["fir"],"geometries":[{"replacement":"mru"}]}]}"#,

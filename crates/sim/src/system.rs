@@ -72,6 +72,71 @@ impl SystemConfig {
     }
 }
 
+/// Ways of the translation memo; a power of two so the hashed index is a shift.
+const TRANSLATION_WAYS: usize = 64;
+/// Ways of the tint memo; tints are few, so a direct-mapped index by tint number suffices.
+const TINT_WAYS: usize = 8;
+/// Key of an empty memo way.
+const EMPTY: u64 = u64::MAX;
+
+/// The replay memo of [`MemorySystem::run_batch`]: recently used pages mapped to their TLB
+/// slot, and recently used tints mapped to their column mask. It lives as long as the
+/// system, so it keeps hitting across batches of any size — down to the one-reference
+/// batches of a quantum-1 round-robin schedule.
+///
+/// **Invalidation rule.** Translation ways validate themselves: a way only names a TLB
+/// slot, and [`Tlb::probe_slot`] refuses a slot that now holds another page (after an LRU
+/// replacement, or after a flush shifted the slots), so no operation ever clears them.
+/// Tint ways copy a tint-table read, so every tint-table write — [`MemorySystem::define_tint`]
+/// and [`MemorySystem::make_tint_exclusive`], which every other tint write goes through —
+/// must clear them. Nothing else can make the memo stale.
+///
+/// The memo and its hit counters are acceleration state, not architectural state: its
+/// `PartialEq` is always `true`, so two systems compare equal whatever their memos hold —
+/// a batched replay equals the per-reference replay of the same references.
+#[derive(Debug, Clone)]
+struct ReplayMemo {
+    /// `(vpn, TLB slot index)` per way, indexed by a multiplicative hash of the VPN; the
+    /// page entry itself always comes from the TLB.
+    translations: [(u64, usize); TRANSLATION_WAYS],
+    /// `(tint, resolved mask)` per way, indexed by tint number.
+    tints: [(u64, ColumnMask); TINT_WAYS],
+    /// Hits since the last statistics reset.
+    stats: BatchMemoStats,
+}
+
+impl ReplayMemo {
+    /// Translation way of page `vpn`. Fibonacci hashing takes the top bits of the
+    /// product, so VPNs that share their low bits (jobs placed at aligned bases) still
+    /// spread over the ways.
+    #[inline]
+    fn translation_way(vpn: u64) -> usize {
+        (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - TRANSLATION_WAYS.trailing_zeros()))
+            as usize
+    }
+
+    /// Forgets every memoised tint mask (the tint table was written).
+    fn clear_tints(&mut self) {
+        self.tints = [(EMPTY, ColumnMask::EMPTY); TINT_WAYS];
+    }
+}
+
+impl Default for ReplayMemo {
+    fn default() -> Self {
+        ReplayMemo {
+            translations: [(EMPTY, 0); TRANSLATION_WAYS],
+            tints: [(EMPTY, ColumnMask::EMPTY); TINT_WAYS],
+            stats: BatchMemoStats::default(),
+        }
+    }
+}
+
+impl PartialEq for ReplayMemo {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
 /// The simulated memory hierarchy driven by a reference stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystem {
@@ -83,7 +148,7 @@ pub struct MemorySystem {
     scratchpad: Option<Scratchpad>,
     memory: MainMemory,
     stats: MemoryStats,
-    memo: BatchMemoStats,
+    memo: ReplayMemo,
     /// Cycles spent in software control operations (tint remaps, re-tints, preloads,
     /// explicit copies). Reported separately so experiments can include or exclude them.
     pub control_cycles: u64,
@@ -112,7 +177,7 @@ impl MemorySystem {
                 config.latency.writeback_penalty,
             ),
             stats: MemoryStats::default(),
-            memo: BatchMemoStats::default(),
+            memo: ReplayMemo::default(),
             control_cycles: 0,
         })
     }
@@ -162,12 +227,13 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// Batch-replay memo counters ([`MemorySystem::run_batch`] short-circuits). Not part
-    /// of [`MemorySystem::stats`]: the memo only exists on the batched path, and the
-    /// architectural statistics must stay identical between batched and per-reference
-    /// replay.
+    /// Replay-memo counters ([`MemorySystem::run_batch`] short-circuits) since the last
+    /// statistics reset. The memo persists across batches, so these count hits whatever
+    /// the batch sizes were. Not part of [`MemorySystem::stats`]: the memo only exists on
+    /// the batched path, and the architectural statistics must stay identical between
+    /// batched and per-reference replay.
     pub fn memo_stats(&self) -> BatchMemoStats {
-        self.memo
+        self.memo.stats
     }
 
     /// Cache statistics (hits, misses, per-column counters).
@@ -178,7 +244,7 @@ impl MemorySystem {
     /// Resets every statistic (but not cache/TLB contents or mappings).
     pub fn reset_stats(&mut self) {
         self.stats = MemoryStats::default();
-        self.memo = BatchMemoStats::default();
+        self.memo.stats = BatchMemoStats::default();
         self.cache.reset_stats();
         self.tlb.reset_stats();
         self.memory.reset();
@@ -202,6 +268,7 @@ impl MemorySystem {
     /// paper: a single tint-table write.
     pub fn define_tint(&mut self, tint: Tint, mask: ColumnMask) -> Result<(), SimError> {
         self.control_cycles += 1;
+        self.memo.clear_tints();
         self.tints.define(tint, mask)
     }
 
@@ -220,6 +287,7 @@ impl MemorySystem {
         mask: ColumnMask,
     ) -> Result<Vec<Tint>, SimError> {
         self.control_cycles += 1;
+        self.memo.clear_tints();
         self.tints.make_exclusive(tint, mask)
     }
 
@@ -322,46 +390,22 @@ impl MemorySystem {
         self.finish_access(addr, is_write, entry, cycles)
     }
 
-    /// Replays a slice of references through a batched fast path.
+    /// Replays a slice of references through the memoised fast path.
     ///
-    /// A small direct-mapped translation cache maps recently-seen pages to their TLB slot;
-    /// a cached page revalidates its slot in O(1) ([`Tlb::probe_slot`]) instead of
-    /// re-scanning the TLB. The probe performs exactly the state transitions of a full
-    /// lookup hit (clock, LRU touch, hit counter), and a slot that was reused for another
-    /// page falls back to the full lookup, so cycle counts, statistics **and TLB state**
-    /// are identical to per-reference replay — batching only changes wall-clock time. The
-    /// cached slots cannot go stale semantically because no control operation (re-tint,
-    /// cacheability change) can interleave with a batch.
+    /// The system's replay memo maps recently seen pages, through a hashed 64-way index,
+    /// to their TLB slot; a memoised page revalidates its slot in O(1)
+    /// ([`Tlb::probe_slot`]) instead of scanning the TLB. The probe performs exactly the
+    /// state transitions of a full lookup hit (clock, LRU touch, hit counter), and a slot
+    /// that was reused for another page falls back to the full lookup, so cycle counts,
+    /// statistics **and TLB state** are identical to per-reference replay — the memo only
+    /// changes wall-clock time. Tint masks are memoised the same way and forgotten on every
+    /// tint-table write. The memo persists across calls, so control operations may
+    /// interleave with batches freely, and a run of one-reference batches hits it as often
+    /// as one long batch does.
     pub fn run_batch(&mut self, refs: &[(u64, bool)]) -> u64 {
-        /// Direct-mapped translation-cache size; covers several interleaved streams.
-        const WAYS: usize = 16;
-        /// Direct-mapped tint-mask cache size; tints are few and stable within a batch.
-        const TINT_WAYS: usize = 8;
-        const EMPTY: u64 = u64::MAX;
-        // (vpn, TLB slot index) per way; the entry itself always comes from the TLB.
-        let mut tcache: [(u64, usize); WAYS] = [(EMPTY, 0); WAYS];
-        // (tint, resolved mask) per way. The tint table cannot change inside a batch
-        // (no control operation interleaves), so memoising `mask_or_default` here is
-        // exact — it lifts a tree lookup off every cacheable reference.
-        let mut mcache: [(u64, ColumnMask); TINT_WAYS] = [(EMPTY, ColumnMask::EMPTY); TINT_WAYS];
-
         // Page size is a validated power of two, so page-number extraction is a shift.
         let page_shift = self.config.page_size.trailing_zeros();
         let tlb_miss_penalty = self.config.latency.tlb_miss_penalty;
-        // The full lookup, shared by the two slow paths (translation-cache miss and
-        // stale slot), so miss accounting can never diverge between them.
-        let full_lookup =
-            |sys: &mut Self, tcache: &mut [(u64, usize); WAYS], addr: u64, vpn: u64, way: usize| {
-                let (entry, hit, slot) = sys.tlb.lookup_slot(addr, &sys.page_table);
-                tcache[way] = (vpn, slot);
-                if hit {
-                    sys.stats.tlb_hits += 1;
-                    (entry, 0)
-                } else {
-                    sys.stats.tlb_misses += 1;
-                    (entry, tlb_miss_penalty)
-                }
-            };
         let mut total = 0u64;
         // Memo-hit tallies stay in registers inside the loop and flush once at the end,
         // so the instrumentation costs two adds per batch, not per reference.
@@ -374,20 +418,31 @@ impl MemorySystem {
                 continue;
             }
             let vpn = addr >> page_shift;
-            let way = (vpn as usize) % WAYS;
-            let cached = tcache[way];
-            let (entry, cycles) = if cached.0 == vpn {
-                match self.tlb.probe_slot(cached.1, vpn) {
-                    Some(entry) => {
-                        self.stats.tlb_hits += 1;
-                        translation_hits += 1;
-                        (entry, 0)
-                    }
-                    // The TLB slot was reused for another page since we cached it.
-                    None => full_lookup(self, &mut tcache, addr, vpn, way),
-                }
+            let way = ReplayMemo::translation_way(vpn);
+            let (memo_vpn, memo_slot) = self.memo.translations[way];
+            let probed = if memo_vpn == vpn {
+                // `None` when the TLB slot was reused for another page since.
+                self.tlb.probe_slot(memo_slot, vpn)
             } else {
-                full_lookup(self, &mut tcache, addr, vpn, way)
+                None
+            };
+            let (entry, cycles) = match probed {
+                Some(entry) => {
+                    self.stats.tlb_hits += 1;
+                    translation_hits += 1;
+                    (entry, 0)
+                }
+                None => {
+                    let (entry, hit, slot) = self.tlb.lookup_slot(addr, &self.page_table);
+                    self.memo.translations[way] = (vpn, slot);
+                    if hit {
+                        self.stats.tlb_hits += 1;
+                        (entry, 0)
+                    } else {
+                        self.stats.tlb_misses += 1;
+                        (entry, tlb_miss_penalty)
+                    }
+                }
             };
             if !entry.cacheable {
                 self.stats.uncached_accesses += 1;
@@ -396,18 +451,19 @@ impl MemorySystem {
             }
             let tint = u64::from(entry.tint.0);
             let mway = (tint as usize) % TINT_WAYS;
-            let mask = if mcache[mway].0 == tint {
+            let (memo_tint, memo_mask) = self.memo.tints[mway];
+            let mask = if memo_tint == tint {
                 tint_hits += 1;
-                mcache[mway].1
+                memo_mask
             } else {
                 let mask = self.tints.mask_or_default(entry.tint);
-                mcache[mway] = (tint, mask);
+                self.memo.tints[mway] = (tint, mask);
                 mask
             };
             total += self.cacheable_access(addr, is_write, mask, cycles);
         }
-        self.memo.translation_hits += translation_hits;
-        self.memo.tint_hits += tint_hits;
+        self.memo.stats.translation_hits += translation_hits;
+        self.memo.stats.tint_hits += tint_hits;
         total
     }
 

@@ -86,8 +86,146 @@ const GEOMETRIES: [(u64, usize, u64); 6] = [
     (4096, 4, 16),
 ];
 
+/// One step of a random program for the memo-staleness property: a batch of references
+/// or a control operation. Pages are 1 KiB (the default), columns 0..4.
+#[derive(Debug, Clone)]
+enum Op {
+    Batch(Vec<(u64, bool)>),
+    DefineTint(u32, Vec<usize>),
+    RemapTint(u32, Vec<usize>),
+    MakeExclusive(u32, Vec<usize>),
+    TintRange {
+        page: u64,
+        pages: u64,
+        tint: u32,
+    },
+    SetCacheable {
+        page: u64,
+        pages: u64,
+        cacheable: bool,
+    },
+    MapExclusive {
+        page: u64,
+        column: usize,
+        tint: u32,
+        preload: bool,
+    },
+}
+
+/// Three job-like regions at aligned bases (their page numbers share their low bits, the
+/// case a modulo-indexed memo aliases on), 16 pages each.
+fn program_addr() -> impl Strategy<Value = u64> {
+    (0u64..3, 0u64..0x4000).prop_map(|(region, off)| 0x100_0000 * (region + 1) + off)
+}
+
+fn program_page() -> impl Strategy<Value = u64> {
+    program_addr().prop_map(|a| a / 1024)
+}
+
+/// A random step: batches weigh as much as all control operations together.
+fn program_op() -> impl Strategy<Value = Op> {
+    (
+        0u8..12,
+        prop::collection::vec((program_addr(), any::<bool>()), 1..24),
+        (0u32..4, prop::collection::vec(0usize..4, 0..3), 0usize..4),
+        (program_page(), 1u64..4, any::<bool>()),
+    )
+        .prop_map(
+            |(kind, refs, (tint, cols, column), (page, pages, flag))| match kind {
+                0 => Op::DefineTint(tint, cols),
+                1 => Op::RemapTint(tint, cols),
+                2 => Op::MakeExclusive(tint, cols),
+                3 => Op::TintRange { page, pages, tint },
+                4 => Op::SetCacheable {
+                    page,
+                    pages,
+                    cacheable: flag,
+                },
+                5 => Op::MapExclusive {
+                    page,
+                    column,
+                    tint: tint.max(1),
+                    preload: flag,
+                },
+                _ => Op::Batch(refs),
+            },
+        )
+}
+
+/// Applies one step; a batch goes through `run_batch` on the memoised system and through
+/// per-reference `access` on the oracle. Returns the step's cycles (0 for control ops)
+/// and, for control ops, a rendering of their result so both sides can be compared.
+fn apply(sys: &mut MemorySystem, op: &Op, memoised: bool) -> (u64, String) {
+    let mask = |cols: &[usize]| ColumnMask::from_columns(cols.iter().copied());
+    match op {
+        Op::Batch(refs) if memoised => (sys.run_batch(refs), String::new()),
+        Op::Batch(refs) => (
+            refs.iter().map(|&(a, w)| sys.access(a, w)).sum(),
+            String::new(),
+        ),
+        Op::DefineTint(t, c) => (0, format!("{:?}", sys.define_tint(Tint(*t), mask(c)))),
+        Op::RemapTint(t, c) => (0, format!("{:?}", sys.remap_tint(Tint(*t), mask(c)))),
+        Op::MakeExclusive(t, c) => (
+            0,
+            format!("{:?}", sys.make_tint_exclusive(Tint(*t), mask(c))),
+        ),
+        Op::TintRange { page, pages, tint } => {
+            let changed = sys.tint_range(page * 1024..(page + pages) * 1024, Tint(*tint));
+            (0, changed.to_string())
+        }
+        Op::SetCacheable {
+            page,
+            pages,
+            cacheable,
+        } => {
+            let changed = sys.set_cacheable(page * 1024..(page + pages) * 1024, *cacheable);
+            (0, changed.to_string())
+        }
+        Op::MapExclusive {
+            page,
+            column,
+            tint,
+            preload,
+        } => {
+            let r = sys.map_exclusive_region(
+                page * 1024,
+                512,
+                ColumnMask::single(*column),
+                Tint(*tint),
+                *preload,
+            );
+            (0, format!("{r:?}"))
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The persistent replay memo never goes stale: a random program interleaving
+    /// `run_batch` calls of any size with every tint-table, page-table and cacheability
+    /// control operation matches the same program replayed one reference at a time
+    /// through the un-memoised `access` — per call, and in every statistic. Small TLBs
+    /// force slot reuse and flush-shifted slots under the memo.
+    #[test]
+    fn memoised_batches_match_per_reference_replay_with_control_ops_interleaved(
+        tlb_entries in 1usize..10,
+        program in prop::collection::vec(program_op(), 1..40),
+    ) {
+        let config = SystemConfig { tlb_entries, ..SystemConfig::default() };
+        let mut memoised = MemorySystem::new(config).unwrap();
+        let mut oracle = MemorySystem::new(config).unwrap();
+        for (i, op) in program.iter().enumerate() {
+            let got = apply(&mut memoised, op, true);
+            let want = apply(&mut oracle, op, false);
+            prop_assert_eq!(&got, &want, "step {} diverged: {:?}", i, op);
+            prop_assert_eq!(memoised.stats(), oracle.stats(), "step {}", i);
+            prop_assert_eq!(memoised.cache_stats(), oracle.cache_stats(), "step {}", i);
+            prop_assert_eq!(memoised.tlb().stats(), oracle.tlb().stats(), "step {}", i);
+            prop_assert_eq!(memoised.control_cycles, oracle.control_cycles, "step {}", i);
+        }
+        prop_assert!(memoised == oracle, "final architectural state differs");
+    }
 
     /// Whatever the access pattern, a line that was just filled is found by `probe` in a
     /// column permitted by the mask that filled it.

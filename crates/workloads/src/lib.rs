@@ -9,7 +9,8 @@
 //! * [`mpeg`] — the paper's Figure 4 benchmark: `dequant`, `plus` and `idct`, plus the
 //!   combined application and its per-procedure phases.
 //! * [`gzipsim`] — the gzip-like compression job of Figure 5 (hash-chain LZ77).
-//! * [`multitask`] — the round-robin scheduler that interleaves several jobs' streams.
+//! * [`multitask`] — the round-robin scheduler: per-quantum `(job, range)` slices of the
+//!   jobs' own traces, or their materialised interleaving.
 //! * [`kernels`] — additional embedded kernels (FIR, matmul, histogram, triad) for
 //!   ablations and examples.
 //! * [`mod@corpus`] — the named registry over all of the above, used by search tooling to

@@ -1,11 +1,15 @@
 //! Round-robin multitasking: interleaving several jobs' reference streams.
 //!
 //! The Figure 5 experiment runs three gzip jobs on one processor under a round-robin
-//! scheduler and varies the context-switch time quantum. This module interleaves the jobs'
-//! traces quantum-by-quantum and remembers which job issued every reference, so the
-//! experiment runner can attribute cycles (and therefore CPI) to individual jobs.
+//! scheduler and varies the context-switch time quantum. [`quanta`] yields the schedule
+//! as `(job, range)` pairs in execution order — each range indexes the job's own trace —
+//! so the experiment runner replays straight from the job traces and attributes cycles
+//! (and therefore CPI) to individual jobs without building anything. [`round_robin`]
+//! materialises the same schedule as one merged trace with a per-reference owner, for
+//! callers that want the interleaved stream itself.
 
 use ccache_trace::{MemAccess, Trace};
+use std::ops::Range;
 
 /// One job in a multiprogrammed mix.
 #[derive(Debug, Clone)]
@@ -51,45 +55,77 @@ impl Schedule {
     }
 }
 
-/// Interleaves the jobs' traces round-robin with a quantum of `quantum` references.
+/// The round-robin schedule of a job set as an iterator of `(job, range)` quanta in
+/// execution order; `range` indexes `jobs[job].trace`. Built by [`quanta`].
+#[derive(Debug, Clone)]
+pub struct Quanta<'a> {
+    jobs: &'a [Job],
+    quantum: usize,
+    /// Next unscheduled event of every job.
+    cursors: Vec<usize>,
+    /// The job whose turn comes next.
+    next_job: usize,
+}
+
+impl Iterator for Quanta<'_> {
+    type Item = (usize, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.quantum == 0 {
+            return None;
+        }
+        for _ in 0..self.jobs.len() {
+            let j = self.next_job;
+            self.next_job = (j + 1) % self.jobs.len();
+            let cur = self.cursors[j];
+            let len = self.jobs[j].trace.len();
+            if cur < len {
+                let end = cur.saturating_add(self.quantum).min(len);
+                self.cursors[j] = end;
+                return Some((j, cur..end));
+            }
+        }
+        None
+    }
+}
+
+/// Schedules the jobs round-robin with a quantum of `quantum` references.
 ///
-/// The scheduler hands the processor to each runnable job in turn; a job that exhausts its
-/// trace drops out of the rotation. This mirrors the paper's setup where "each point in
-/// this plot was generated by choosing a time quantum, and performing a round-robin
-/// schedule of the three jobs".
+/// The scheduler hands the processor to each runnable job in turn for up to `quantum` of
+/// its references; a job that exhausts its trace drops out of the rotation. This mirrors
+/// the paper's setup where "each point in this plot was generated by choosing a time
+/// quantum, and performing a round-robin schedule of the three jobs". A zero quantum
+/// schedules nothing. A context switch is a change of job between consecutive quanta, so
+/// the back-to-back quanta of the last running job are not one.
+pub fn quanta(jobs: &[Job], quantum: usize) -> Quanta<'_> {
+    Quanta {
+        jobs,
+        quantum,
+        cursors: vec![0; jobs.len()],
+        next_job: 0,
+    }
+}
+
+/// Interleaves the jobs' traces round-robin with a quantum of `quantum` references: the
+/// [`quanta`] schedule materialised as one merged trace.
 ///
 /// # Panics
 ///
 /// Panics if `quantum` is zero.
 pub fn round_robin(jobs: &[Job], quantum: usize) -> Schedule {
     assert!(quantum > 0, "quantum must be positive");
-    let mut cursors = vec![0usize; jobs.len()];
-    let mut merged = Trace::with_capacity(jobs.iter().map(|j| j.trace.len()).sum());
-    let mut owner = Vec::with_capacity(merged.len());
+    let events = jobs.iter().map(|j| j.trace.len()).sum();
+    let mut merged = Trace::with_capacity(events);
+    let mut owner = Vec::with_capacity(events);
     let mut context_switches = 0u64;
     let mut last_job: Option<usize> = None;
-    loop {
-        let mut progressed = false;
-        for (j, job) in jobs.iter().enumerate() {
-            let cur = cursors[j];
-            if cur >= job.trace.len() {
-                continue;
-            }
-            let end = (cur + quantum).min(job.trace.len());
-            if last_job.is_some() && last_job != Some(j) {
-                context_switches += 1;
-            }
-            last_job = Some(j);
-            for i in cur..end {
-                merged.push(*job.trace.get(i).expect("index in range"));
-                owner.push(j);
-            }
-            cursors[j] = end;
-            progressed = true;
+    for (j, range) in quanta(jobs, quantum) {
+        if last_job.is_some_and(|last| last != j) {
+            context_switches += 1;
         }
-        if !progressed {
-            break;
-        }
+        last_job = Some(j);
+        owner.resize(owner.len() + range.len(), j);
+        merged.extend(jobs[j].trace.as_slice()[range].iter().copied());
     }
     Schedule {
         merged,
@@ -174,6 +210,42 @@ mod tests {
     fn zero_quantum_rejected() {
         let jobs = vec![job("a", 0, 2)];
         round_robin(&jobs, 0);
+    }
+
+    #[test]
+    fn quanta_walk_the_jobs_in_round_robin_order() {
+        let jobs = vec![
+            job("a", 0x1000, 5),
+            job("b", 0x2000, 2),
+            job("c", 0x3000, 4),
+        ];
+        let q: Vec<(usize, Range<usize>)> = quanta(&jobs, 2).collect();
+        assert_eq!(
+            q,
+            vec![
+                (0, 0..2),
+                (1, 0..2),
+                (2, 0..2),
+                (0, 2..4),
+                (2, 2..4),
+                (0, 4..5)
+            ]
+        );
+        let s = round_robin(&jobs, 2);
+        let owners: Vec<usize> = q
+            .iter()
+            .flat_map(|(j, r)| std::iter::repeat_n(*j, r.len()))
+            .collect();
+        assert_eq!(s.owner, owners);
+    }
+
+    #[test]
+    fn zero_and_huge_quanta_terminate() {
+        let jobs = vec![job("a", 0x1000, 3), job("b", 0x2000, 1)];
+        assert_eq!(quanta(&jobs, 0).count(), 0);
+        assert_eq!(quanta(&[], 4).count(), 0);
+        let q: Vec<(usize, Range<usize>)> = quanta(&jobs, usize::MAX).collect();
+        assert_eq!(q, vec![(0, 0..3), (1, 0..1)]);
     }
 
     #[test]
