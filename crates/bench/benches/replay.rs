@@ -5,8 +5,6 @@
 //!   cache). Both produce bit-identical `RunResult`s; the difference is pure overhead.
 //! * `sweep_paths/*` — the full dequant partition sweep computed serially and with the
 //!   thread-parallel `par_map` fan-out.
-//! * `snapshot_reset` — the cost of restoring a programmed system between sweep points,
-//!   versus rebuilding and re-applying the mapping from scratch.
 
 use ccache_bench::{figure4_config, Scale};
 use ccache_core::engine::ReplayEngine;
@@ -75,31 +73,9 @@ fn sweep_paths(c: &mut Criterion) {
     group.finish();
 }
 
-fn snapshot_reset(c: &mut Criterion) {
-    let mut group = c.benchmark_group("snapshot_reset");
-    group.bench_function("engine_reset", |b| {
-        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, engine_config()).unwrap();
-        engine.apply(&mapping()).unwrap();
-        engine.snapshot();
-        b.iter(|| {
-            engine.reset();
-            black_box(engine.backend().control_cycles())
-        })
-    });
-    group.bench_function("rebuild_and_remap", |b| {
-        let m = mapping();
-        b.iter(|| {
-            let mut backend = build_backend(BackendKind::ColumnCache, engine_config()).unwrap();
-            m.apply(backend.as_mut()).unwrap();
-            black_box(backend.control_cycles())
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = replay;
     config = Criterion::default().sample_size(20);
-    targets = replay_paths, sweep_paths, snapshot_reset
+    targets = replay_paths, sweep_paths
 }
 criterion_main!(replay);

@@ -3,21 +3,38 @@
 
 use std::process::Command;
 
-#[test]
-fn run_rejects_a_zero_quantum_with_a_message() {
+/// Runs `ccache run --quick` on `spec` and returns its stderr, asserting exit code 1.
+fn run_fails_with_exit_1(file: &str, spec: &str) -> String {
     let dir = std::env::temp_dir().join("ccache-bad-specs");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("q0.json");
-    std::fs::write(&path, r#"{"name":"q0","multitask":[{"quanta":[0]}]}"#).expect("write spec");
+    let path = dir.join(file);
+    std::fs::write(&path, spec).expect("write spec");
 
     let out = Command::new(env!("CARGO_BIN_EXE_ccache"))
         .args(["run", "--quick"])
         .arg(&path)
         .output()
         .expect("run ccache");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(!out.status.success(), "exit {:?}", out.status);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("error:"), "{stderr}");
+    stderr
+}
+
+#[test]
+fn run_rejects_a_zero_quantum_with_a_message() {
+    let stderr = run_fails_with_exit_1("q0.json", r#"{"name":"q0","multitask":[{"quanta":[0]}]}"#);
     assert!(stderr.contains("'quanta'"), "{stderr}");
+}
+
+#[test]
+fn run_rejects_an_oversized_geometry_with_a_message() {
+    // 2^63 bytes in one column: its tag vector alone would need 2^61 bytes
+    let stderr = run_fails_with_exit_1(
+        "huge-geometry.json",
+        r#"{"name":"g","replay":[{"workloads":["fir"],"geometries":[
+            {"capacity":9223372036854775808,"columns":1,"line":32,"page":1024}]}]}"#,
+    );
+    assert!(stderr.contains("lines"), "{stderr}");
 }

@@ -1,16 +1,15 @@
-//! The replay engine: batched trace replay over a pluggable memory backend, with cheap
-//! snapshot/reset between sweep points.
+//! The replay engine: batched trace replay over a pluggable memory backend.
 //!
-//! The seed replayed traces one reference at a time through a concrete `MemorySystem`,
-//! and every sweep point rebuilt the whole system. [`ReplayEngine`] replaces that path:
+//! The seed replayed traces one reference at a time through a concrete `MemorySystem`.
+//! [`ReplayEngine`] replaces that path:
 //!
 //! * references are fed to the backend in **batches** ([`MemoryBackend::run_batch`]),
 //!   which lets the column-cache backend short-circuit address translation for
 //!   consecutive same-page references — statistics stay identical to per-reference
 //!   replay, only wall-clock time changes;
-//! * [`ReplayEngine::snapshot`] captures the fully programmed system (tints, page table,
-//!   preloaded lines) and [`ReplayEngine::reset`] restores it, so a sweep can reprogram
-//!   tints from a warm starting point instead of reconstructing and re-mapping;
+//! * every replay starts from a freshly constructed engine: remapping only writes the
+//!   tint table, so there is no warm state worth saving, and building a backend costs
+//!   no more than restoring a saved copy would;
 //! * the backend is a `Box<dyn MemoryBackend>`, so the same engine drives the column
 //!   cache, the set-associative baseline or the ideal scratchpad.
 
@@ -55,7 +54,7 @@ impl<R: std::io::BufRead> ReadChunk for TraceReader<R> {
     }
 }
 
-/// Batched trace replay over a pluggable, snapshottable memory backend.
+/// Batched trace replay over a pluggable memory backend.
 ///
 /// # Example: build a backend, program tints, replay, read stats
 ///
@@ -84,9 +83,6 @@ impl<R: std::io::BufRead> ReadChunk for TraceReader<R> {
 /// ```
 pub struct ReplayEngine {
     backend: Box<dyn MemoryBackend>,
-    /// Taken lazily: one-shot replays (every partition-sweep point) never pay for a
-    /// snapshot clone they would not use.
-    snapshot: Option<Box<dyn MemoryBackend>>,
     batch: usize,
     buffer: Vec<(u64, bool)>,
     telemetry: EngineTelemetry,
@@ -96,7 +92,6 @@ pub struct ReplayEngine {
 /// touch the registry. All accounting happens *after* a replay finishes (the counters
 /// are fed from the backend's own statistics), so the hot loop is untouched and results
 /// stay byte-identical with or without a registry attached.
-#[derive(Clone)]
 struct EngineTelemetry {
     replays: Counter,
     batches: Counter,
@@ -179,7 +174,6 @@ impl ReplayEngine {
     pub fn from_backend(backend: Box<dyn MemoryBackend>) -> Self {
         ReplayEngine {
             backend,
-            snapshot: None,
             batch: DEFAULT_BATCH,
             buffer: Vec::with_capacity(DEFAULT_BATCH),
             telemetry: EngineTelemetry::bind(&Registry::global()),
@@ -224,74 +218,6 @@ impl ReplayEngine {
     /// Returns an error if a mask in the mapping is invalid for the backend's cache.
     pub fn apply(&mut self, mapping: &CacheMapping) -> Result<(), CoreError> {
         mapping.apply(self.backend.as_mut())
-    }
-
-    /// Captures the backend's current state — contents, mappings, statistics — as the
-    /// state [`ReplayEngine::reset`] returns to.
-    ///
-    /// # Contract (the optimizer inner loop)
-    ///
-    /// `snapshot`/`reset` round-trips are cheap (one backend clone each, no replay) and
-    /// panic-free **in any order**: snapshotting a freshly built engine, resetting before
-    /// any snapshot, and resetting twice in a row are all well defined. A search that
-    /// evaluates many mappings under one geometry snapshots the pristine engine once and
-    /// then `reset` + [`apply`](ReplayEngine::apply) + [`replay`](ReplayEngine::replay)
-    /// per candidate, never paying for reconstruction:
-    ///
-    /// ```
-    /// use ccache_core::engine::ReplayEngine;
-    /// use ccache_core::runner::{CacheMapping, RegionMapping};
-    /// use ccache_sim::backend::BackendKind;
-    /// use ccache_sim::{ColumnMask, SystemConfig};
-    /// use ccache_trace::synth::sequential_scan;
-    ///
-    /// let config = SystemConfig { page_size: 256, ..SystemConfig::default() };
-    /// let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config)?;
-    /// engine.reset();    // before any snapshot or replay: a no-op back to pristine
-    /// engine.snapshot(); // the state every candidate evaluation starts from
-    ///
-    /// let trace = sequential_scan(0x0, 4096, 32, 4, 2, None);
-    /// let mut results = Vec::new();
-    /// for column in 0..4 {
-    ///     engine.reset(); // back to the pristine snapshot, mappings and stats cleared
-    ///     let mut mapping = CacheMapping::new();
-    ///     mapping.map(0x0, 4096, RegionMapping::Columns { mask: ColumnMask::single(column) });
-    ///     engine.apply(&mapping)?;
-    ///     results.push(engine.replay("candidate", &trace));
-    /// }
-    /// // every candidate saw an identical starting state; by symmetry the four
-    /// // single-column restrictions perform identically
-    /// assert!(results.iter().all(|r| r.references == trace.len() as u64));
-    /// assert_eq!(results[0], results[3]);
-    /// # Ok::<(), ccache_core::CoreError>(())
-    /// ```
-    pub fn snapshot(&mut self) {
-        self.snapshot = Some(self.backend.boxed_clone());
-    }
-
-    /// Returns `true` if a snapshot has been taken (and [`ReplayEngine::reset`] will
-    /// restore it rather than the just-constructed state).
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
-    /// Drops the snapshot, so the next [`ReplayEngine::reset`] returns the backend to its
-    /// just-constructed state.
-    pub fn clear_snapshot(&mut self) {
-        self.snapshot = None;
-    }
-
-    /// Restores the backend to the last snapshot; with no snapshot taken, returns it to
-    /// its just-constructed state ([`MemoryBackend::full_reset`]).
-    ///
-    /// Safe to call at any point — including before any snapshot or replay — and
-    /// idempotent: consecutive resets land on the same state. See
-    /// [`ReplayEngine::snapshot`] for the full round-trip contract.
-    pub fn reset(&mut self) {
-        match &self.snapshot {
-            Some(snap) => self.backend = snap.boxed_clone(),
-            None => self.backend.full_reset(),
-        }
     }
 
     /// Replays a trace in batches and collects a [`RunResult`].
@@ -439,18 +365,6 @@ impl ReplayEngine {
     }
 }
 
-impl Clone for ReplayEngine {
-    fn clone(&self) -> Self {
-        ReplayEngine {
-            backend: self.backend.boxed_clone(),
-            snapshot: self.snapshot.as_ref().map(|s| s.boxed_clone()),
-            batch: self.batch,
-            buffer: Vec::with_capacity(self.batch),
-            telemetry: self.telemetry.clone(),
-        }
-    }
-}
-
 impl std::fmt::Debug for ReplayEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplayEngine")
@@ -509,72 +423,6 @@ mod tests {
         let per_ref = run_on("x", &mut system, &t).unwrap();
 
         assert_eq!(batched, per_ref);
-    }
-
-    #[test]
-    fn snapshot_reset_round_trips_state() {
-        let t = trace();
-        let m = mapping();
-        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        engine.apply(&m).unwrap();
-        engine.snapshot();
-
-        let first = engine.replay("run", &t);
-        engine.reset();
-        let second = engine.replay("run", &t);
-        assert_eq!(
-            first, second,
-            "reset must restore the programmed state exactly"
-        );
-    }
-
-    #[test]
-    fn reset_without_snapshot_returns_to_construction_state() {
-        let t = trace();
-        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        let pristine = engine.replay("cold", &t);
-        engine.reset(); // back to an empty, unmapped system
-        let again = engine.replay("cold", &t);
-        assert_eq!(pristine, again);
-    }
-
-    #[test]
-    fn snapshot_and_reset_are_safe_before_any_replay() {
-        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        assert!(!engine.has_snapshot());
-        engine.reset(); // no snapshot, nothing replayed: must not panic
-        engine.reset(); // idempotent
-        engine.snapshot(); // snapshot of a pristine engine
-        assert!(engine.has_snapshot());
-        engine.reset();
-
-        // the pristine snapshot behaves exactly like a fresh engine
-        let t = trace();
-        let from_snapshot = engine.replay("x", &t);
-        let mut fresh = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        assert_eq!(from_snapshot, fresh.replay("x", &t));
-
-        engine.clear_snapshot();
-        assert!(!engine.has_snapshot());
-        engine.reset(); // back to full_reset semantics, still panic-free
-        assert_eq!(engine.replay("x", &t), fresh.replay("x", &t));
-    }
-
-    #[test]
-    fn repeated_reset_apply_replay_is_stable() {
-        // The optimizer inner loop: many candidates from one pristine snapshot.
-        let t = trace();
-        let m = mapping();
-        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        engine.snapshot();
-        let mut results = Vec::new();
-        for _ in 0..3 {
-            engine.reset();
-            engine.apply(&m).unwrap();
-            results.push(engine.replay("candidate", &t));
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
     }
 
     /// Every public replay entry point — `&Trace`, refs slice and `TraceReader`,

@@ -1,17 +1,16 @@
 //! The executor: run a [`Plan`] through the batched replay engine.
 //!
-//! Jobs are grouped by (workload, backend, geometry): each group builds one
-//! [`ReplayEngine`], snapshots the pristine state once and then `reset` → `apply` →
-//! `replay`s every mapping policy of the group from that snapshot — the optimizer inner
-//! loop of `ccache-opt`, reused for declarative grids. Groups run thread-parallel (the
+//! Every job runs on its own: a mapping replay builds a fresh [`ReplayEngine`], `apply`s
+//! the policy's mapping and `replay`s the workload — from memory, or straight from disk
+//! for shared-policy replays of binary trace files. Jobs run thread-parallel (the
 //! `parallel` feature) through the order-preserving `par_map`, so the outcome vector —
 //! and therefore the serialized artefact — is byte-identical with parallelism on or
 //! off.
 //!
 //! Jobs that manage their own system construction (partition points, phase remaps,
-//! tuning runs, multitask schedules, streaming trace files) run as singleton groups
-//! through the same experiment functions the legacy commands used, which is what makes
-//! the CLI presets byte-identical to their pre-refactor output.
+//! tuning runs, multitask schedules) run through the same experiment functions the
+//! legacy commands used, which is what makes the CLI presets byte-identical to their
+//! pre-refactor output.
 
 use crate::error::ExpError;
 use crate::plan::{JobUnit, MultitaskJob, Plan, ReplayJob};
@@ -28,12 +27,12 @@ use ccache_layout::{assign_columns, LayoutOptions, WeightOptions};
 use ccache_opt::{tune_observed, GeometrySearch, TuneOutcome, TuneRequest};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::ColumnMask;
-use ccache_telemetry::{Counter, Registry, Span};
+use ccache_telemetry::{Registry, Span};
 use ccache_trace::{SymbolTable, Trace};
 use ccache_workloads::gzipsim::run_gzip_job;
 use ccache_workloads::multitask::Job;
 use ccache_workloads::WorkloadRun;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Options applied at execution time (not part of the spec).
 #[derive(Debug, Clone, Default)]
@@ -68,19 +67,12 @@ struct ExpTelemetry {
     registry: Registry,
     /// One span per executed plan item (wall time under `timing`).
     job: Span,
-    /// Engine-sharing groups built (one engine + snapshot each).
-    groups: Counter,
-    /// Replays served from a group's pristine snapshot instead of a fresh engine —
-    /// every group job after the first.
-    snapshot_reuses: Counter,
 }
 
 impl ExpTelemetry {
     fn bind(registry: Registry) -> Self {
         ExpTelemetry {
             job: registry.span("exp.job"),
-            groups: registry.counter("exp.groups"),
-            snapshot_reuses: registry.counter("exp.snapshot.reuses"),
             registry,
         }
     }
@@ -178,6 +170,10 @@ struct Context {
     phases: Option<(Vec<(String, Trace)>, SymbolTable)>,
     /// Multitask job sets by canonical descriptor.
     schedules: BTreeMap<String, Vec<Job>>,
+    /// Binary trace files that shared-policy replays stream from disk instead of
+    /// materialising (the `ccache sweep` path). Sniffed once here, so no job re-opens a
+    /// file to decide how to read it.
+    streamed: BTreeSet<String>,
 }
 
 /// Cache key of a materialized trace file: the path plus the values symbol inference
@@ -192,17 +188,6 @@ fn schedule_key(jobs: &[crate::spec::GzipJobSpec]) -> String {
     ccache_json::Json::arr(jobs.iter().map(|j| j.to_json())).compact()
 }
 
-/// Whether a replay job streams its trace from disk instead of materialising it:
-/// shared-policy replays of binary trace files (the `ccache sweep` path).
-fn is_streaming(job: &ReplayJob) -> Result<bool, ExpError> {
-    match (&job.workload, &job.policy) {
-        (WorkloadSel::Trace { path }, PolicySpec::Shared) => {
-            Ok(ccache_trace::binfmt::is_binary_trace_file(path)?)
-        }
-        _ => Ok(false),
-    }
-}
-
 impl Context {
     fn load(plan: &Plan, opts: &ExecOptions) -> Result<Self, ExpError> {
         let scale = opts.scale();
@@ -211,6 +196,7 @@ impl Context {
             traces: BTreeMap::new(),
             phases: None,
             schedules: BTreeMap::new(),
+            streamed: BTreeSet::new(),
         };
         for unit in &plan.jobs {
             match unit {
@@ -236,8 +222,15 @@ impl Context {
                         }
                         continue;
                     }
-                    if is_streaming(job)? {
-                        continue;
+                    if let (WorkloadSel::Trace { path }, PolicySpec::Shared) =
+                        (&job.workload, &job.policy)
+                    {
+                        if ctx.streamed.contains(path)
+                            || ccache_trace::binfmt::is_binary_trace_file(path)?
+                        {
+                            ctx.streamed.insert(path.clone());
+                            continue;
+                        }
                     }
                     match &job.workload {
                         WorkloadSel::Corpus { name } => {
@@ -296,6 +289,16 @@ impl Context {
             }
         }
         Ok(ctx)
+    }
+
+    /// The trace file `job` streams from disk, if it is a streaming replay.
+    fn streamed_path<'a>(&self, job: &'a ReplayJob) -> Option<&'a str> {
+        match (&job.workload, &job.policy) {
+            (WorkloadSel::Trace { path }, PolicySpec::Shared) if self.streamed.contains(path) => {
+                Some(path)
+            }
+            _ => None,
+        }
     }
 
     fn workload(&self, job: &ReplayJob) -> Result<&WorkloadRun, ExpError> {
@@ -409,231 +412,145 @@ fn build_mapping(
     }
 }
 
-/// A contiguous work unit handed to one worker: either an engine-sharing group of
-/// mapping replays or a single self-contained job.
-struct Group {
-    /// Whether the jobs share one engine (reset/apply/replay from a snapshot).
-    engine: bool,
-    jobs: Vec<usize>,
-}
-
-fn group_jobs(plan: &Plan) -> Result<Vec<Group>, ExpError> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (idx, unit) in plan.jobs.iter().enumerate() {
-        let key = match unit {
-            JobUnit::Replay(job)
-                if matches!(
-                    job.policy,
-                    PolicySpec::Shared
-                        | PolicySpec::Heuristic
-                        | PolicySpec::RoundRobin
-                        | PolicySpec::Fixed { .. }
-                ) && !is_streaming(job)? =>
-            {
-                use ccache_json::ToJson;
-                format!(
-                    "engine|{}|{}|{}",
-                    job.workload.to_json().compact(),
-                    job.backend,
-                    job.geometry.to_json().compact()
-                )
-            }
-            _ => format!("single|{idx}"),
-        };
-        match groups.get_mut(&key) {
-            Some(list) => list.push(idx),
-            None => {
-                order.push(key.clone());
-                groups.insert(key, vec![idx]);
-            }
-        }
-    }
-    Ok(order
-        .into_iter()
-        .map(|key| Group {
-            engine: key.starts_with("engine|"),
-            jobs: groups.remove(&key).expect("group recorded"),
-        })
-        .collect())
-}
-
-/// Replays a trace on a prepared engine, observed or not per the execution options.
-fn engine_replay(
-    engine: &mut ReplayEngine,
-    label: &str,
-    trace: &ccache_trace::Trace,
-    opts: &ExecOptions,
-) -> (RunResult, Option<TimeSeries>) {
-    match opts.observe {
-        Some(o) => {
-            let mut recorder = SeriesRecorder::new(o.window);
-            let result = engine.replay_observed(label, trace, o.window, &mut recorder);
-            (result, Some(recorder.into_series()))
-        }
-        None => (engine.replay(label, trace), None),
-    }
-}
-
-fn run_replay_group(
-    indices: &[usize],
-    plan: &Plan,
+/// Replays one mapping-policy job on a freshly built engine: streamed from disk when
+/// [`Context::load`] chose to, else from the loaded workload under the policy's mapping.
+fn run_replay(
+    job: &ReplayJob,
     ctx: &Context,
     opts: &ExecOptions,
     tel: &ExpTelemetry,
-) -> Result<Vec<(usize, JobOutcome)>, ExpError> {
-    let first = match &plan.jobs[indices[0]] {
-        JobUnit::Replay(job) => job,
-        JobUnit::Multitask(_) => unreachable!("engine groups hold replay jobs"),
-    };
-    let workload = ctx.workload(first)?;
-    let config = first.geometry.system_config()?;
-    let mut engine = ReplayEngine::new(first.backend, config)?;
+) -> Result<JobOutcome, ExpError> {
+    let mut engine = ReplayEngine::new(job.backend, job.geometry.system_config()?)?;
     engine.set_telemetry(&tel.registry);
-    engine.snapshot();
-    tel.groups.incr();
-    let mut out = Vec::with_capacity(indices.len());
-    for (nth, &idx) in indices.iter().enumerate() {
-        let job = match &plan.jobs[idx] {
-            JobUnit::Replay(job) => job,
-            JobUnit::Multitask(_) => unreachable!("engine groups hold replay jobs"),
-        };
-        let _timed = tel.job.start();
-        if nth > 0 {
-            tel.snapshot_reuses.incr();
+    let (result, layout, series) = match ctx.streamed_path(job) {
+        Some(path) => {
+            let mut reader = ccache_trace::binfmt::TraceReader::open(path)?;
+            let (result, series) = match opts.observe {
+                Some(o) => {
+                    let mut recorder = SeriesRecorder::new(o.window);
+                    let result = engine.replay_reader_observed(
+                        &job.label,
+                        &mut reader,
+                        o.window,
+                        &mut recorder,
+                    )?;
+                    (result, Some(recorder.into_series()))
+                }
+                None => (engine.replay_reader(&job.label, &mut reader)?, None),
+            };
+            (result, None, series)
         }
-        engine.reset();
-        let (mapping, layout) = build_mapping(&job.policy, workload, &job.geometry)?;
-        engine.apply(&mapping)?;
-        let (result, series) = engine_replay(&mut engine, &job.label, &workload.trace, opts);
-        out.push((
-            idx,
-            JobOutcome::Replay {
-                label: job.label.clone(),
-                result,
-                layout,
-                series,
-            },
-        ));
-    }
-    Ok(out)
+        None => {
+            let workload = ctx.workload(job)?;
+            let (mapping, layout) = build_mapping(&job.policy, workload, &job.geometry)?;
+            engine.apply(&mapping)?;
+            let (result, series) = match opts.observe {
+                Some(o) => {
+                    let mut recorder = SeriesRecorder::new(o.window);
+                    let result = engine.replay_observed(
+                        &job.label,
+                        &workload.trace,
+                        o.window,
+                        &mut recorder,
+                    );
+                    (result, Some(recorder.into_series()))
+                }
+                None => (engine.replay(&job.label, &workload.trace), None),
+            };
+            (result, layout, series)
+        }
+    };
+    Ok(JobOutcome::Replay {
+        label: job.label.clone(),
+        result,
+        layout,
+        series,
+    })
 }
 
-fn run_single(
-    idx: usize,
-    plan: &Plan,
+/// Runs one plan item.
+fn run_job(
+    unit: &JobUnit,
     ctx: &Context,
     opts: &ExecOptions,
     tel: &ExpTelemetry,
-) -> Result<Vec<(usize, JobOutcome)>, ExpError> {
+) -> Result<JobOutcome, ExpError> {
     let _timed = tel.job.start();
-    let outcome = match &plan.jobs[idx] {
-        JobUnit::Replay(job) => match &job.policy {
-            PolicySpec::Shared => {
-                // A streaming replay: the trace file never has to fit in memory.
-                let path = match &job.workload {
-                    WorkloadSel::Trace { path } => path,
-                    WorkloadSel::Corpus { .. } => {
-                        unreachable!("corpus shared jobs run in engine groups")
-                    }
-                };
-                let mut engine = ReplayEngine::new(job.backend, job.geometry.system_config()?)?;
-                engine.set_telemetry(&tel.registry);
-                let mut reader = ccache_trace::binfmt::TraceReader::open(path)?;
-                let (result, series) = match opts.observe {
-                    Some(o) => {
-                        let mut recorder = SeriesRecorder::new(o.window);
-                        let result = engine.replay_reader_observed(
-                            &job.label,
-                            &mut reader,
-                            o.window,
-                            &mut recorder,
-                        )?;
-                        (result, Some(recorder.into_series()))
-                    }
-                    None => (engine.replay_reader(&job.label, &mut reader)?, None),
-                };
-                JobOutcome::Replay {
-                    label: job.label.clone(),
-                    result,
-                    layout: None,
-                    series,
-                }
-            }
-            PolicySpec::Partition { cache_columns } => {
-                let workload = ctx.workload(job)?;
-                let point = run_partition_point_on(
-                    job.backend,
-                    workload,
-                    &job.geometry.partition_config(),
-                    *cache_columns,
-                )?;
-                JobOutcome::Partition {
-                    label: job.label.clone(),
-                    workload: workload.name.clone(),
-                    point,
-                }
-            }
-            PolicySpec::DynamicPhases => {
-                let (phases, symbols) = ctx.phases.as_ref().expect("phases preloaded");
-                let config = job.geometry.partition_config();
-                let (run, series) = match opts.observe {
-                    Some(o) => {
-                        let mut recorder = SeriesRecorder::new(o.window);
-                        let run = run_dynamic_observed(
-                            phases,
-                            symbols,
-                            &config,
-                            o.window,
-                            &mut recorder,
-                        )?;
-                        (run, Some(recorder.into_series()))
-                    }
-                    None => (run_dynamic(phases, symbols, &config)?, None),
-                };
-                JobOutcome::Dynamic {
-                    label: job.label.clone(),
-                    run,
-                    series,
-                }
-            }
-            PolicySpec::Tuned {
-                strategy,
-                budget,
-                seed,
-            } => {
-                let workload = ctx.workload(job)?;
-                let request = TuneRequest {
-                    template: job.geometry.system_config()?,
-                    geometry: GeometrySearch::fixed(),
-                    strategy: *strategy,
-                    budget: *budget,
-                    seed: *seed,
-                    serial: false,
-                    forced: Vec::new(),
-                    baseline: BackendKind::SetAssociative,
-                };
-                let outcome = tune_observed(
-                    &workload.trace,
-                    &workload.symbols,
-                    &request,
-                    &tel.registry,
-                    None,
-                )?;
-                JobOutcome::Tuned {
-                    label: job.label.clone(),
-                    outcome,
-                }
-            }
-            other => {
-                return Err(ExpError::BadSpec {
-                    reason: format!("policy '{}' escaped the planner", other.short()),
-                })
-            }
-        },
-        JobUnit::Multitask(job) => run_multitask_job(job, ctx)?,
+    let job = match unit {
+        JobUnit::Replay(job) => job,
+        JobUnit::Multitask(job) => return run_multitask_job(job, ctx),
     };
-    Ok(vec![(idx, outcome)])
+    Ok(match &job.policy {
+        PolicySpec::Shared
+        | PolicySpec::Heuristic
+        | PolicySpec::RoundRobin
+        | PolicySpec::Fixed { .. } => run_replay(job, ctx, opts, tel)?,
+        PolicySpec::Partition { cache_columns } => {
+            let workload = ctx.workload(job)?;
+            let point = run_partition_point_on(
+                job.backend,
+                workload,
+                &job.geometry.partition_config(),
+                *cache_columns,
+            )?;
+            JobOutcome::Partition {
+                label: job.label.clone(),
+                workload: workload.name.clone(),
+                point,
+            }
+        }
+        PolicySpec::DynamicPhases => {
+            let (phases, symbols) = ctx.phases.as_ref().expect("phases preloaded");
+            let config = job.geometry.partition_config();
+            let (run, series) = match opts.observe {
+                Some(o) => {
+                    let mut recorder = SeriesRecorder::new(o.window);
+                    let run =
+                        run_dynamic_observed(phases, symbols, &config, o.window, &mut recorder)?;
+                    (run, Some(recorder.into_series()))
+                }
+                None => (run_dynamic(phases, symbols, &config)?, None),
+            };
+            JobOutcome::Dynamic {
+                label: job.label.clone(),
+                run,
+                series,
+            }
+        }
+        PolicySpec::Tuned {
+            strategy,
+            budget,
+            seed,
+        } => {
+            let workload = ctx.workload(job)?;
+            let request = TuneRequest {
+                template: job.geometry.system_config()?,
+                geometry: GeometrySearch::fixed(),
+                strategy: *strategy,
+                budget: *budget,
+                seed: *seed,
+                serial: false,
+                forced: Vec::new(),
+                baseline: BackendKind::SetAssociative,
+            };
+            let outcome = tune_observed(
+                &workload.trace,
+                &workload.symbols,
+                &request,
+                &tel.registry,
+                None,
+            )?;
+            JobOutcome::Tuned {
+                label: job.label.clone(),
+                outcome,
+            }
+        }
+        other => {
+            return Err(ExpError::BadSpec {
+                reason: format!("policy '{}' escaped the planner", other.short()),
+            })
+        }
+    })
 }
 
 fn run_multitask_job(job: &MultitaskJob, ctx: &Context) -> Result<JobOutcome, ExpError> {
@@ -657,22 +574,10 @@ fn run_multitask_job(job: &MultitaskJob, ctx: &Context) -> Result<JobOutcome, Ex
 /// the first error (in plan order) is reported.
 pub fn execute(plan: &Plan, opts: &ExecOptions) -> Result<Vec<JobOutcome>, ExpError> {
     let ctx = Context::load(plan, opts)?;
-    let groups = group_jobs(plan)?;
     let tel = ExpTelemetry::bind(opts.registry());
-    let results = ccache_core::parallel::par_map(&groups, |group| {
-        if group.engine {
-            run_replay_group(&group.jobs, plan, &ctx, opts, &tel)
-        } else {
-            run_single(group.jobs[0], plan, &ctx, opts, &tel)
-        }
-    });
-    let mut indexed: Vec<(usize, JobOutcome)> = Vec::with_capacity(plan.jobs.len());
-    for group in results {
-        indexed.extend(group?);
-    }
-    indexed.sort_by_key(|(idx, _)| *idx);
-    debug_assert!(indexed.iter().enumerate().all(|(i, (idx, _))| i == *idx));
-    Ok(indexed.into_iter().map(|(_, outcome)| outcome).collect())
+    ccache_core::parallel::par_map(&plan.jobs, |unit| run_job(unit, &ctx, opts, &tel))
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -702,9 +607,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_groups_match_fresh_engine_replays() {
-        // The same policies through the grouped executor and through one-off engines
-        // must produce identical statistics.
+    fn replay_jobs_match_fresh_engine_replays() {
+        // The same policies through the executor and through one-off engines must
+        // produce identical statistics.
         let spec = fir_grid(vec![
             PolicySpec::Shared,
             PolicySpec::Heuristic,

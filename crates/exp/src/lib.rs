@@ -9,8 +9,8 @@
 //!   parsed from JSON (`examples/specs/*.json`) or built programmatically;
 //! * [`mod@plan`] — the [`Planner`](plan::plan): grid expansion with canonical-key dedup
 //!   (the same configuration is never replayed twice) in first-occurrence order;
-//! * [`exec`] — the [`Executor`](exec::execute): snapshot-reusing, thread-parallel
-//!   replay through `ccache-core`'s batched `ReplayEngine`, byte-identical output with
+//! * [`exec`] — the [`Executor`](exec::execute): thread-parallel replay, one freshly
+//!   built `ccache-core` `ReplayEngine` per job, byte-identical output with
 //!   parallelism on or off;
 //! * [`artefact`] — the unified [`Artefact`] report schema every run serializes to;
 //! * [`presets`] — the legacy CLI commands (`fig4`, `fig5`, `ablation`, `sweep`)

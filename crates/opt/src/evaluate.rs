@@ -259,7 +259,7 @@ mod tests {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
         let mut eval = Evaluator::new(&space, t, 2, false);
-        let genomes = space.enumerate(5);
+        let genomes = space.enumerate().take(5).collect::<Vec<_>>();
         let scores = eval.evaluate_batch(&genomes).unwrap();
         assert_eq!(eval.replays(), 2);
         assert_eq!(scores.iter().filter(|s| s.is_some()).count(), 2);
@@ -275,7 +275,7 @@ mod tests {
         let (t, s) = workload();
         let space =
             SearchSpace::build(&t, &s, template(), &GeometrySearch::standard(), &[]).unwrap();
-        let genomes = space.enumerate(12);
+        let genomes = space.enumerate().take(12).collect::<Vec<_>>();
         let mut par = Evaluator::new(&space, t.clone(), 100, false);
         let mut ser = Evaluator::new(&space, t, 100, true);
         let a = par.evaluate_batch(&genomes).unwrap();

@@ -324,49 +324,48 @@ impl SearchSpace {
         Some(total)
     }
 
-    /// Enumerates up to `limit` genomes in a fixed deterministic order: per geometry, the
-    /// heuristic seed first, then odometer order over the free vertices.
-    pub fn enumerate(&self, limit: usize) -> Vec<Genome> {
-        let mut out = Vec::new();
-        for (g, geo) in self.geometries.iter().enumerate() {
-            if out.len() >= limit {
-                break;
-            }
+    /// Every genome, lazily, in a fixed deterministic order: per geometry, the heuristic
+    /// seed first, then odometer order over the free vertices (first free vertex the
+    /// fastest digit), skipping the combination equal to the seed. Callers take what
+    /// they need — a space far larger than any budget costs only the genomes pulled.
+    pub fn enumerate(&self) -> impl Iterator<Item = Genome> + '_ {
+        (0..self.geometries.len()).flat_map(move |g| {
+            let geo = &self.geometries[g];
             let seed = self.seeded(g);
-            out.push(seed.clone());
-            let k = geo.free_vertices.len();
-            let c = geo.options.columns;
-            let mut odometer = vec![0usize; k];
-            'odometer: loop {
-                if out.len() >= limit {
-                    break;
-                }
+            // `None` once the odometer has wrapped past its last combination; with no
+            // free vertices there is exactly one (empty) combination
+            let mut odometer = Some(vec![0usize; geo.free_vertices.len()]);
+            std::iter::once(seed.clone()).chain(std::iter::from_fn(move || loop {
+                let digits = odometer.as_mut()?;
                 let mut columns = geo.heuristic.vertex_columns.clone();
-                for (slot, &v) in odometer.iter().zip(&geo.free_vertices) {
+                for (slot, &v) in digits.iter().zip(&geo.free_vertices) {
                     columns[v] = *slot;
                 }
+                if !advance(digits, geo.options.columns) {
+                    odometer = None;
+                }
                 if columns != seed.columns {
-                    out.push(Genome {
+                    return Some(Genome {
                         geometry: g,
                         columns,
                     });
                 }
-                // advance the odometer; k == 0 has exactly one (empty) combination
-                if k == 0 {
-                    break;
-                }
-                for digit in odometer.iter_mut() {
-                    *digit += 1;
-                    if *digit < c {
-                        continue 'odometer;
-                    }
-                    *digit = 0;
-                }
-                break;
-            }
-        }
-        out
+            }))
+        })
     }
+}
+
+/// Steps an odometer of base-`base` digits (least significant first); `false` when it
+/// wraps back to all zeros.
+fn advance(digits: &mut [usize], base: usize) -> bool {
+    for digit in digits.iter_mut() {
+        *digit += 1;
+        if *digit < base {
+            return true;
+        }
+        *digit = 0;
+    }
+    false
 }
 
 fn non_empty_or<T: Copy>(list: &[T], fallback: T) -> Vec<T> {
@@ -492,15 +491,71 @@ mod tests {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
         let n = space.cardinality().unwrap();
-        let genomes = space.enumerate(usize::MAX);
+        let genomes: Vec<Genome> = space.enumerate().collect();
         assert_eq!(genomes.len() as u128, n);
         let mut keys: Vec<Vec<u8>> = genomes.iter().map(Genome::encode).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len() as u128, n);
         // a limit truncates deterministically
-        let some = space.enumerate(5);
+        let some: Vec<Genome> = space.enumerate().take(5).collect();
         assert_eq!(some.len(), 5);
         assert_eq!(some[0], space.seeded(0));
+    }
+
+    #[test]
+    fn enumerate_walks_the_seed_then_the_odometer() {
+        let (t, s) = workload();
+        let columns = GeometrySearch {
+            columns: vec![2, 4],
+            ..GeometrySearch::fixed()
+        };
+        let space = SearchSpace::build(&t, &s, template(), &columns, &[]).unwrap();
+        // the canonical order, spelled out: per geometry the seed, then every column
+        // combination with the first free vertex as the fastest digit, minus the seed
+        let mut expected = Vec::new();
+        for (g, geo) in space.geometries.iter().enumerate() {
+            let seed = space.seeded(g);
+            expected.push(seed.clone());
+            let (k, c) = (geo.free_vertices.len(), geo.options.columns);
+            for n in 0..c.pow(k as u32) {
+                let mut columns = geo.heuristic.vertex_columns.clone();
+                for (i, &v) in geo.free_vertices.iter().enumerate() {
+                    columns[v] = n / c.pow(i as u32) % c;
+                }
+                if columns != seed.columns {
+                    expected.push(Genome {
+                        geometry: g,
+                        columns,
+                    });
+                }
+            }
+        }
+        assert!(space.geometries.len() > 1);
+        assert_eq!(space.enumerate().collect::<Vec<_>>(), expected);
+        for k in [0, 1, 7, expected.len()] {
+            assert_eq!(space.enumerate().take(k).collect::<Vec<_>>(), expected[..k]);
+        }
+    }
+
+    #[test]
+    fn enumerate_is_lazy_over_spaces_too_large_to_count() {
+        // 80 independently accessed variables: 4^80 > 2^128 assignments
+        let mut rec = TraceRecorder::new();
+        let vars: Vec<VarId> = (0..80)
+            .map(|i| rec.allocate(&format!("v{i}"), 64, 8))
+            .collect();
+        for round in 0..4u64 {
+            for &v in &vars {
+                rec.record(v, (round * 8) % 64, 8, AccessKind::Read);
+            }
+        }
+        let (t, s) = rec.finish();
+        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        assert_eq!(space.cardinality(), None);
+        let first: Vec<Genome> = space.enumerate().take(3).collect();
+        assert_eq!(first.len(), 3);
+        assert_eq!(first[0], space.seeded(0));
+        assert!(first.iter().all(|g| space.is_valid(g)));
     }
 }

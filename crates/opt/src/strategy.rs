@@ -217,13 +217,16 @@ impl SearchStrategy for Exhaustive {
         let batch = if self.batch == 0 { 64 } else { self.batch };
         let mut best = evaluate_seeds(space, eval)?;
         log_round(log, eval, &best);
-        // +seeds again is fine: they come from the cache and cost nothing.
-        let genomes = space.enumerate(eval.remaining().saturating_add(eval.distinct()));
-        for chunk in genomes.chunks(batch) {
-            if eval.remaining() == 0 {
+        // +seeds again is fine: they come from the cache and cost nothing. The
+        // enumeration is lazy, so a huge budget costs only the genomes actually pulled.
+        let limit = eval.remaining().saturating_add(eval.distinct());
+        let mut genomes = space.enumerate().take(limit);
+        while eval.remaining() > 0 {
+            let chunk: Vec<Genome> = genomes.by_ref().take(batch).collect();
+            if chunk.is_empty() {
                 break;
             }
-            let scores = eval.evaluate_batch(chunk)?;
+            let scores = eval.evaluate_batch(&chunk)?;
             for (genome, fitness) in chunk.iter().zip(scores) {
                 if let Some(fitness) = fitness {
                     BestCandidate::consider(&mut best, genome, fitness);

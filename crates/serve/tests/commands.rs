@@ -79,6 +79,34 @@ fn replaying_a_trace_that_declares_too_many_events_is_an_error_frame() {
 }
 
 #[test]
+fn running_a_spec_with_an_oversized_geometry_is_an_error_frame() {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // 2^63 bytes in one column: 2^58 lines, whose tag vector alone would need 2^61 bytes
+    let spec = Json::parse(
+        r#"{"name": "g", "replay": [{"workloads": ["fir"], "geometries": [
+            {"capacity": 9223372036854775808, "columns": 1, "line": 32, "page": 1024}]}]}"#,
+    )
+    .unwrap();
+    let reply = client
+        .request(&Json::obj([("cmd", "run".to_json()), ("spec", spec)]))
+        .expect("run reply");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let message = reply
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("error message");
+    assert!(message.contains("lines"), "{message}");
+    // the server keeps serving
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn uploaded_traces_replay_by_name_everywhere() {
     let mut server = spawn_test_server(|_| {}).expect("bind test server");
     let mut client = Client::connect(server.addr()).expect("connect");

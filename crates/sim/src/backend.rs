@@ -10,9 +10,8 @@
 //! * [`IdealScratchpad`] — every reference served at scratchpad latency, the lower bound
 //!   an on-chip memory of unlimited capacity would achieve.
 //!
-//! The trait is object-safe: runners hold `Box<dyn MemoryBackend>` and sweep points clone
-//! a configured backend via [`MemoryBackend::boxed_clone`] instead of rebuilding and
-//! reprogramming one from scratch.
+//! The trait is object-safe: runners hold `Box<dyn MemoryBackend>`, and every replay
+//! starts from a freshly built one ([`build_backend`]).
 
 use crate::error::SimError;
 use crate::mask::ColumnMask;
@@ -110,14 +109,6 @@ pub trait MemoryBackend: Send + Sync {
 
     /// Clears statistics; contents and mappings survive.
     fn reset_stats(&mut self);
-
-    /// Returns the backend to its just-constructed state: contents, mappings and
-    /// statistics are all cleared.
-    fn full_reset(&mut self);
-
-    /// Clones the backend — contents, mappings, statistics and all — behind a fresh box.
-    /// This is the snapshot primitive of the replay engine.
-    fn boxed_clone(&self) -> Box<dyn MemoryBackend>;
 }
 
 impl MemoryBackend for MemorySystem {
@@ -186,14 +177,6 @@ impl MemoryBackend for MemorySystem {
 
     fn reset_stats(&mut self) {
         MemorySystem::reset_stats(self)
-    }
-
-    fn full_reset(&mut self) {
-        MemorySystem::full_reset(self)
-    }
-
-    fn boxed_clone(&self) -> Box<dyn MemoryBackend> {
-        Box::new(self.clone())
     }
 }
 
@@ -299,14 +282,6 @@ impl MemoryBackend for SetAssocBaseline {
 
     fn reset_stats(&mut self) {
         self.inner.reset_stats()
-    }
-
-    fn full_reset(&mut self) {
-        self.inner.full_reset()
-    }
-
-    fn boxed_clone(&self) -> Box<dyn MemoryBackend> {
-        Box::new(self.clone())
     }
 }
 
@@ -423,14 +398,6 @@ impl MemoryBackend for IdealScratchpad {
         self.stats = MemoryStats::default();
         self.cache_stats = CacheStats::new(self.config.cache.columns());
         self.control_cycles = 0;
-    }
-
-    fn full_reset(&mut self) {
-        self.reset_stats();
-    }
-
-    fn boxed_clone(&self) -> Box<dyn MemoryBackend> {
-        Box::new(self.clone())
     }
 }
 
@@ -578,34 +545,6 @@ mod tests {
             ideal.cycle_report(false).memory_cycles,
             200 * cfg.latency.scratchpad_latency
         );
-    }
-
-    #[test]
-    fn boxed_clone_snapshots_contents_and_stats() {
-        let cfg = SystemConfig::default();
-        let mut backend = build_backend(BackendKind::ColumnCache, cfg).unwrap();
-        backend.define_tint(Tint(1), ColumnMask::single(2)).unwrap();
-        backend.tint_range(0..2048, Tint(1));
-        backend.run_batch(&refs(100));
-        let mut snap = backend.boxed_clone();
-        assert_eq!(snap.stats(), backend.stats());
-        // the clone evolves independently
-        snap.run_batch(&refs(50));
-        assert_ne!(snap.stats().references, backend.stats().references);
-    }
-
-    #[test]
-    fn full_reset_restores_pristine_state() {
-        let cfg = SystemConfig::default();
-        let mut backend = build_backend(BackendKind::ColumnCache, cfg).unwrap();
-        backend.define_tint(Tint(1), ColumnMask::single(0)).unwrap();
-        backend.tint_range(0..8192, Tint(1));
-        backend.run_batch(&refs(300));
-        backend.full_reset();
-        let fresh = build_backend(BackendKind::ColumnCache, cfg).unwrap();
-        assert_eq!(backend.stats(), fresh.stats());
-        assert_eq!(backend.cache_stats(), fresh.cache_stats());
-        assert_eq!(backend.control_cycles(), 0);
     }
 
     #[test]

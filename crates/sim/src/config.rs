@@ -3,6 +3,12 @@
 use crate::error::SimError;
 use crate::replacement::ReplacementPolicy;
 
+/// The most cache lines (`sets × columns`) a configuration may hold: 2^18, 64× the 4096
+/// lines of Figure 5's 128 KiB cache. The simulator allocates per-line state up front, so
+/// an unbounded geometry read from a spec or a request could exhaust memory before a
+/// single reference replays; [`CacheConfigBuilder::build`] refuses anything larger.
+pub const MAX_LINES: usize = 1 << 18;
+
 /// Geometry and policy of one column cache.
 ///
 /// Capacity is `columns * sets_per_column * line_size` bytes; a *column* is one way of the
@@ -152,7 +158,8 @@ impl CacheConfigBuilder {
     ///
     /// Returns [`SimError::BadSize`] if capacity or line size is zero or not a power of two
     /// and [`SimError::BadGeometry`] if capacity is not divisible into at least one full set
-    /// per column or the column count is unsupported.
+    /// per column, the column count is unsupported, or the cache would hold more than
+    /// [`MAX_LINES`] lines.
     pub fn build(self) -> Result<CacheConfig, SimError> {
         if self.capacity_bytes == 0 || !self.capacity_bytes.is_power_of_two() {
             return Err(SimError::BadSize {
@@ -196,6 +203,16 @@ impl CacheConfigBuilder {
         if !sets.is_power_of_two() {
             return Err(SimError::BadGeometry {
                 reason: format!("set count {sets} must be a power of two"),
+            });
+        }
+        let lines = self.capacity_bytes / self.line_size;
+        if lines > MAX_LINES as u64 {
+            return Err(SimError::BadGeometry {
+                reason: format!(
+                    "{} bytes of {}-byte lines is {lines} lines, more than the {MAX_LINES} \
+                     a cache may hold",
+                    self.capacity_bytes, self.line_size
+                ),
             });
         }
         Ok(CacheConfig {
@@ -326,6 +343,29 @@ mod tests {
             .build();
         // 2048 / 3 is not exact
         assert!(matches!(r, Err(SimError::BadGeometry { .. })));
+    }
+
+    #[test]
+    fn builder_bounds_the_line_count() {
+        let lines = |capacity: u64, columns: usize| {
+            CacheConfig::builder()
+                .capacity_bytes(capacity)
+                .columns(columns)
+                .line_size(32)
+                .build()
+        };
+        // exactly MAX_LINES is allowed, at any column count
+        assert_eq!(lines(32 << 18, 1).unwrap().total_lines(), MAX_LINES);
+        assert_eq!(lines(32 << 18, 8).unwrap().total_lines(), MAX_LINES);
+        // one power of two more is refused, as is a 2^63-byte single-column cache whose
+        // tag vector alone would need 2^61 bytes
+        for (capacity, columns) in [(32 << 19, 1), (32 << 19, 16), (1 << 63, 1)] {
+            let err = lines(capacity, columns).unwrap_err();
+            assert!(
+                matches!(&err, SimError::BadGeometry { reason } if reason.contains("lines")),
+                "{capacity} bytes x {columns} columns: {err}"
+            );
+        }
     }
 
     #[test]

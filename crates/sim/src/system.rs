@@ -251,15 +251,6 @@ impl MemorySystem {
         self.control_cycles = 0;
     }
 
-    /// Returns the system to its just-constructed state: cache and TLB contents, page
-    /// table, tint table, scratchpad and every statistic are cleared. This discards all
-    /// programming; to restore a *programmed* warm state between sweep points, the replay
-    /// engine snapshots with [`MemoryBackend::boxed_clone`](crate::backend::MemoryBackend)
-    /// instead.
-    pub fn full_reset(&mut self) {
-        *self = MemorySystem::new(self.config).expect("config was validated at construction");
-    }
-
     // ------------------------------------------------------------------
     // Software control interface
     // ------------------------------------------------------------------
@@ -764,25 +755,6 @@ mod tests {
             ..SystemConfig::default()
         };
         assert!(MemorySystem::new(cfg).is_ok());
-    }
-
-    #[test]
-    fn full_reset_matches_fresh_construction() {
-        let mut s = system();
-        s.define_tint(Tint(1), ColumnMask::single(1)).unwrap();
-        s.make_tint_exclusive(Tint(2), ColumnMask::single(0))
-            .unwrap();
-        s.tint_range(0..0x2000, Tint(1));
-        s.set_cacheable(0x9000..0x9400, false);
-        s.attach_scratchpad(0x5_0000, 1024).unwrap();
-        s.map_exclusive_region(0x8000, 512, ColumnMask::single(3), Tint(7), true)
-            .unwrap();
-        let refs: Vec<(u64, bool)> = (0..400u64)
-            .map(|i| ((i * 97) % 0x8000, i % 3 == 0))
-            .collect();
-        s.run_batch(&refs);
-        s.full_reset();
-        assert_eq!(s, MemorySystem::new(*s.config()).unwrap());
     }
 
     #[test]

@@ -159,24 +159,24 @@ impl BenchReport {
 }
 
 /// Runs `body` `iterations` times and keeps the best duration it reports. The body
-/// times itself (via [`Instant`]) so untimed preparation — engine resets, reader
+/// times itself (via [`Instant`]) so untimed preparation — engine and reader
 /// construction — stays outside the measured region.
 fn time_mode<T>(
     iterations: usize,
     references: u64,
-    mut body: impl FnMut() -> (T, std::time::Duration),
-) -> (T, BenchTiming) {
+    mut body: impl FnMut() -> Result<(T, std::time::Duration), SessionError>,
+) -> Result<(T, BenchTiming), SessionError> {
     let mut best = std::time::Duration::MAX;
     let mut last = None;
     for _ in 0..iterations.max(1) {
-        let (value, elapsed) = body();
+        let (value, elapsed) = body()?;
         best = best.min(elapsed);
         last = Some(value);
     }
-    (
+    Ok((
         last.expect("at least one iteration ran"),
         BenchTiming::from_best(best, references),
-    )
+    ))
 }
 
 fn ratio(num: f64, den: f64) -> f64 {
@@ -199,38 +199,37 @@ pub(crate) fn run(session: &Session, request: &BenchRequest) -> Result<BenchRepo
     let trace = &run.trace;
     let references = trace.len() as u64;
     let iterations = request.iterations.max(1);
-    let mut engine = session.engine()?;
 
     // Per-reference replay: the seed's loop, one `access` call per event.
     let (per_ref_result, per_ref) = time_mode(iterations, references, || {
-        engine.reset();
+        let mut engine = session.engine()?;
         let start = Instant::now();
         let result = run_on("bench", engine.backend_mut(), trace).expect("per-reference replay");
-        (result, start.elapsed())
-    });
+        Ok((result, start.elapsed()))
+    })?;
 
     // Batched replay: the default engine datapath.
     let (batched_result, batched) = time_mode(iterations, references, || {
-        engine.reset();
+        let mut engine = session.engine()?;
         let start = Instant::now();
         let result = engine.replay("bench", trace);
-        (result, start.elapsed())
-    });
+        Ok((result, start.elapsed()))
+    })?;
 
     // Streamed replay: decode the binary trace format batch by batch.
     let mut encoded = Vec::new();
     ccache_trace::binfmt::write_trace(trace, &mut encoded)
         .map_err(|e| SessionError::BadRequest(format!("failed to encode trace: {e}")))?;
     let (streamed_result, streamed) = time_mode(iterations, references, || {
-        engine.reset();
+        let mut engine = session.engine()?;
         let mut reader =
             ccache_trace::binfmt::TraceReader::new(&encoded[..]).expect("in-memory header");
         let start = Instant::now();
         let result = engine
             .replay_reader("bench", &mut reader)
             .expect("in-memory stream");
-        (result, start.elapsed())
-    });
+        Ok((result, start.elapsed()))
+    })?;
 
     for (mode, result) in [("batched", &batched_result), ("streamed", &streamed_result)] {
         if *result != per_ref_result {
@@ -242,13 +241,13 @@ pub(crate) fn run(session: &Session, request: &BenchRequest) -> Result<BenchRepo
 
     let mut batch_sweep = Vec::with_capacity(request.batch_sweep.len());
     for &batch in &request.batch_sweep {
-        engine.set_batch_size(batch);
         let (_, timing) = time_mode(1, references, || {
-            engine.reset();
+            let mut engine = session.engine()?;
+            engine.set_batch_size(batch);
             let start = Instant::now();
             let result = engine.replay("bench", trace);
-            (result, start.elapsed())
-        });
+            Ok((result, start.elapsed()))
+        })?;
         batch_sweep.push(BenchSweepPoint {
             value: batch as u64,
             timing,

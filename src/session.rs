@@ -283,7 +283,8 @@ impl Session {
     }
 
     /// A fresh [`ReplayEngine`] over the session's backend and geometry — the escape
-    /// hatch for snapshot/reset-style driving beyond what the facade offers.
+    /// hatch for driving the engine directly (control operations between replays,
+    /// custom batch sizes) beyond what the facade offers.
     ///
     /// # Errors
     ///

@@ -255,12 +255,12 @@ fn observed_artefacts_are_byte_identical_modulo_time_series() {
     );
     assert_eq!(
         snapshot
-            .get("counters")
-            .and_then(|c| c.get("exp.groups"))
-            .and_then(ccache_json::Json::as_u64)
-            .map(|groups| groups >= 1),
-        Some(true),
-        "the executor records its replay groups"
+            .get("spans")
+            .and_then(|s| s.get("exp.job"))
+            .and_then(|s| s.get("count"))
+            .and_then(ccache_json::Json::as_u64),
+        Some(observed.outcomes.len() as u64),
+        "the executor times every planned job once"
     );
 
     // and the series totals reconcile with each job's final statistics

@@ -76,16 +76,17 @@ proptest! {
         write_trace(&trace, &mut bytes).unwrap();
 
         for kind in BackendKind::ALL {
-            let mut engine = ReplayEngine::new(kind, config()).unwrap();
-            engine.apply(&mapping()).unwrap();
-            engine.set_batch_size(batch);
-            engine.snapshot();
+            let engine = || {
+                let mut engine = ReplayEngine::new(kind, config()).unwrap();
+                engine.apply(&mapping()).unwrap();
+                engine.set_batch_size(batch);
+                engine
+            };
 
-            let in_memory = engine.replay("run", &trace);
+            let in_memory = engine().replay("run", &trace);
 
-            engine.reset();
             let mut reader = TraceReader::new(&bytes[..]).unwrap();
-            let streamed = engine.replay_reader("run", &mut reader).unwrap();
+            let streamed = engine().replay_reader("run", &mut reader).unwrap();
 
             // RunResult derives PartialEq over every statistic — cycles, hit/miss
             // counts, writebacks, the cycle report — so equality here is bit-identity
