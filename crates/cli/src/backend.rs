@@ -1,16 +1,14 @@
 //! Shared parsing of memory-backend names.
 //!
 //! `ccache sweep` and `ccache tune` both take backend selections on the command line;
-//! this module interprets those strings through the shared [`BackendRegistry`] — the
-//! same table the experiment-spec grammar and [`BackendKind::parse`] resolve against —
-//! so the accepted names and the
+//! this module interprets those strings with [`BackendKind::parse`] — the same table the
+//! experiment-spec grammar resolves against — so the accepted names and the
 //! `expected ...` lists in usage errors (exit code 2) are **derived** from one place and
 //! can never drift apart.
 
 use crate::args::ArgParser;
 use crate::error::CliError;
 use ccache_sim::backend::BackendKind;
-use ccache_sim::BackendRegistry;
 
 /// Parses one backend name, failing with the uniform usage error naming `flag`.
 ///
@@ -18,11 +16,10 @@ use ccache_sim::BackendRegistry;
 ///
 /// Returns a usage error (exit code 2) for unknown names.
 pub fn parse_backend(raw: &str, flag: &str, parser: &ArgParser) -> Result<BackendKind, CliError> {
-    let registry = BackendRegistry::global();
-    registry.kind_of(raw).ok_or_else(|| {
+    BackendKind::parse(raw).ok_or_else(|| {
         parser.usage(format!(
             "invalid value '{raw}' for '{flag}' (expected {})",
-            registry.expected_single()
+            BackendKind::expected_single()
         ))
     })
 }
@@ -37,14 +34,13 @@ pub fn backends_from_parser(
     parser: &mut ArgParser,
     flag: &str,
 ) -> Result<Vec<BackendKind>, CliError> {
-    let registry = BackendRegistry::global();
     match parser.value(flag)?.as_deref() {
         None | Some("all") => Ok(BackendKind::ALL.to_vec()),
-        Some(raw) => match registry.kind_of(raw) {
+        Some(raw) => match BackendKind::parse(raw) {
             Some(kind) => Ok(vec![kind]),
             None => Err(parser.usage(format!(
                 "invalid value '{raw}' for '{flag}' (expected {})",
-                registry.expected_list()
+                BackendKind::expected_list()
             ))),
         },
     }
@@ -138,25 +134,21 @@ mod tests {
         );
     }
 
-    /// The satellite guarantee of the registry redesign: registry names, CLI names and
-    /// experiment-spec names agree because they are all the same table.
+    /// CLI names, [`BackendKind::parse`] and experiment-spec names agree because they
+    /// are all the same table.
     #[test]
     fn registry_cli_and_spec_names_agree() {
-        let registry = BackendRegistry::global();
-        assert_eq!(registry.entries().len(), BackendKind::ALL.len());
-        for entry in registry.entries() {
-            let kind = entry.kind().expect("built-ins carry a kind");
-            let spellings: Vec<&str> = std::iter::once(entry.name())
-                .chain(std::iter::once(entry.short()))
-                .chain(entry.aliases().iter().map(String::as_str))
-                .collect();
+        for kind in BackendKind::ALL {
+            let spellings = [kind.canonical_name(), kind.short_name()]
+                .into_iter()
+                .chain(kind.alias_names().iter().copied());
             for spelling in spellings {
                 // CLI flag parsing
                 let mut p = parser(&["--backend", spelling]);
                 assert_eq!(
                     backends_from_parser(&mut p, "--backend").unwrap(),
                     vec![kind],
-                    "CLI must accept registry spelling '{spelling}'"
+                    "CLI must accept spelling '{spelling}'"
                 );
                 // BackendKind::parse (the sim-level name table)
                 assert_eq!(BackendKind::parse(spelling), Some(kind));
@@ -169,13 +161,13 @@ mod tests {
                 assert_eq!(spec.replay[0].backends, vec![kind]);
             }
             // the canonical name round-trips through Display
-            assert_eq!(entry.name(), kind.to_string());
+            assert_eq!(kind.canonical_name(), kind.to_string());
         }
         // spec errors list the same derived names the CLI errors do
         let err = ccache_exp::ExperimentSpec::parse_str(
             r#"{"name": "t", "replay": [{"workloads": ["fir"], "backends": ["victim"]}]}"#,
         )
         .unwrap_err();
-        assert!(err.to_string().contains(&registry.expected_single()));
+        assert!(err.to_string().contains(&BackendKind::expected_single()));
     }
 }

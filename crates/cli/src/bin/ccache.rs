@@ -3,5 +3,5 @@
 //! Usage: `ccache <fig4|fig5|ablation|sweep|trace> [options]`; see `ccache --help`.
 
 fn main() -> std::process::ExitCode {
-    ccache_cli::main_with(None)
+    ccache_cli::main()
 }

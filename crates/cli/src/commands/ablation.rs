@@ -11,10 +11,10 @@
 use crate::args::ArgParser;
 use crate::error::CliError;
 use crate::output::{Render, ReportArgs};
-use crate::scale::Scale;
 use ccache_exp::exec::JobOutcome;
 use ccache_exp::plan::expand;
 use ccache_exp::presets::ablation_spec;
+use ccache_exp::scale::Scale;
 use ccache_exp::Artefact;
 use ccache_sim::{ColumnMask, MemorySystem, ReplacementPolicy, Tint};
 use std::fmt::Write as _;

@@ -8,12 +8,12 @@
 use crate::args::ArgParser;
 use crate::error::CliError;
 use crate::output::{csv_field, markdown_table, Render, ReportArgs};
-use crate::scale::figure4_config;
 use ccache_core::dynamic::Figure4dResult;
 use ccache_core::partition::PartitionSweep;
 use ccache_core::report::{figure4d_table, partition_table, SweepReport};
 use ccache_exp::exec::JobOutcome;
 use ccache_exp::presets::fig4_spec;
+use ccache_exp::scale::figure4_config;
 use std::fmt::Write as _;
 
 /// Help text for `ccache fig4`.

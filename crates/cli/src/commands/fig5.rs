@@ -9,11 +9,11 @@
 use crate::args::ArgParser;
 use crate::error::CliError;
 use crate::output::{csv_field, markdown_table, Render, ReportArgs};
-use crate::scale::Scale;
 use ccache_core::multitask::QuantumSeries;
 use ccache_core::report::quantum_table;
 use ccache_exp::exec::JobOutcome;
 use ccache_exp::presets::fig5_spec;
+use ccache_exp::scale::Scale;
 use ccache_json::{Json, ToJson};
 use std::fmt::Write as _;
 

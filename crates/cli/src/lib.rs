@@ -18,10 +18,9 @@
 //! ccache serve --connect ADDR --request JSON
 //! ```
 //!
-//! The figure binaries in `ccache-bench` are thin shims over [`run`], so
-//! `cargo run -p ccache-bench --bin fig4 -- --quick` and
-//! `cargo run -p ccache-cli -- fig4 --quick` execute the same code and produce
-//! byte-identical artefacts. The experiment commands — `fig4`, `fig5`, `ablation`,
+//! `ccache` is the only front door to the figures: `cargo run -p ccache-cli -- fig4
+//! --quick` reproduces Figure 4, and likewise `fig5` and `ablation`. The experiment
+//! commands — `fig4`, `fig5`, `ablation`,
 //! `sweep` — are presets over the declarative pipeline in `ccache-exp`: they compile to
 //! an `ExperimentSpec`, run through the shared planner/executor and reassemble their
 //! legacy reports byte-identically (golden-tested in `tests/golden_parity.rs`);
@@ -41,7 +40,6 @@ pub mod scale;
 
 pub use error::CliError;
 pub use output::{OutputFormat, ReportArgs};
-pub use scale::{figure4_config, figure5_configs, figure5_jobs, Scale};
 
 /// Top-level help text.
 pub const USAGE: &str = "\
@@ -95,14 +93,10 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> Result<(), CliError> {
     }
 }
 
-/// Entry point shared by the `ccache` binary and the thin figure shims: runs
-/// `prepend` + the process arguments, prints errors to stderr and returns the exit code.
-pub fn main_with(prepend: Option<&str>) -> std::process::ExitCode {
-    let args = prepend
-        .map(str::to_owned)
-        .into_iter()
-        .chain(std::env::args().skip(1));
-    match run(args) {
+/// Entry point of the `ccache` binary: runs the process arguments, prints errors to
+/// stderr and returns the exit code.
+pub fn main() -> std::process::ExitCode {
+    match run(std::env::args().skip(1)) {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -11,7 +11,8 @@
 
 use crate::args::ArgParser;
 use crate::error::CliError;
-use crate::scale::{scale_from_parser, Scale};
+use crate::scale::scale_from_parser;
+use ccache_exp::scale::Scale;
 use ccache_json::ToJson;
 use std::fmt::Write as _;
 

@@ -1,16 +1,8 @@
-//! Experiment scales and the fixed figure configurations — re-exported from the
-//! experiment layer.
-//!
-//! The definitions moved from `ccache-bench` to this crate (PR 2) and on into
-//! `ccache-exp` (this PR), so the spec layer, the CLI, the thin figure binaries and the
-//! Criterion benches all resolve `--quick` and the paper's configurations through one
-//! definition. This module keeps the CLI-facing import path (and the benches' re-export
-//! path) stable, and adds the one CLI-specific piece: consuming `--quick` from an
-//! [`ArgParser`].
-
-pub use ccache_exp::scale::{figure4_config, figure5_configs, figure5_jobs, Scale};
+//! Consuming `--quick` from an [`ArgParser`]. The scales and the paper's figure
+//! configurations themselves live in [`ccache_exp::scale`].
 
 use crate::args::ArgParser;
+use ccache_exp::scale::Scale;
 
 /// Consumes the `--quick`/`-q` flag from an [`ArgParser`]. The scale is `Quick` exactly
 /// when the flag appears as its own whole argument — substrings do not count, so a path

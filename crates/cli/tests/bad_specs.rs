@@ -38,3 +38,16 @@ fn run_rejects_an_oversized_geometry_with_a_message() {
     );
     assert!(stderr.contains("lines"), "{stderr}");
 }
+
+#[test]
+fn run_rejects_an_oversized_partition_sweep_with_a_message() {
+    // a sweep over a billion columns would plan a billion and one jobs before any
+    // geometry is validated
+    let stderr = run_fails_with_exit_1(
+        "huge-sweep.json",
+        r#"{"name":"huge","replay":[{"workloads":["fir"],"backends":["column"],
+            "geometries":[{"capacity":2048,"columns":1000000000,"line":32,"page":128}],
+            "policies":["partition-sweep"]}]}"#,
+    );
+    assert!(stderr.contains("1000000001 jobs"), "{stderr}");
+}

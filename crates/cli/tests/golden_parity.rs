@@ -77,7 +77,7 @@ fn fig5_quick_json_artefact_is_byte_identical() {
 fn ablation_quick_text_is_byte_identical() {
     // The pre-refactor ablation had no --format flag; its artefact is the printed
     // report, golden-recorded from the binary's stdout.
-    let (text, _) = ccache_cli::commands::ablation::compute(ccache_cli::Scale::Quick)
+    let (text, _) = ccache_cli::commands::ablation::compute(ccache_exp::Scale::Quick)
         .expect("ablation computes");
     assert_eq!(
         text,

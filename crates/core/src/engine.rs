@@ -16,8 +16,7 @@
 use crate::error::CoreError;
 use crate::observe::{ReplayObserver, WindowTracker};
 use crate::runner::{CacheMapping, RunResult};
-use ccache_sim::backend::{BackendKind, MemoryBackend};
-use ccache_sim::registry::BackendRegistry;
+use ccache_sim::backend::{build_backend, BackendKind, MemoryBackend};
 use ccache_sim::SystemConfig;
 use ccache_telemetry::{Counter, Registry};
 use ccache_trace::binfmt::TraceReader;
@@ -145,29 +144,11 @@ impl EngineTelemetry {
 impl ReplayEngine {
     /// Creates an engine over a freshly built backend of the given kind.
     ///
-    /// Construction routes through the shared [`BackendRegistry`], the same factory
-    /// table every backend-name parse site resolves against.
-    ///
     /// # Errors
     ///
     /// Returns an error if the configuration is invalid.
     pub fn new(kind: BackendKind, config: SystemConfig) -> Result<Self, CoreError> {
-        ReplayEngine::from_registry(BackendRegistry::global(), kind.canonical_name(), config)
-    }
-
-    /// Creates an engine over a backend resolved **by name** through a registry — the
-    /// `Session` facade path, which makes user-registered backends replayable with the
-    /// exact engine the built-ins use.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown backend names or invalid configurations.
-    pub fn from_registry(
-        registry: &BackendRegistry,
-        name: &str,
-        config: SystemConfig,
-    ) -> Result<Self, CoreError> {
-        Ok(ReplayEngine::from_backend(registry.build(name, config)?))
+        Ok(ReplayEngine::from_backend(build_backend(kind, config)?))
     }
 
     /// Creates an engine over an existing backend.

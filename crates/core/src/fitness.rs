@@ -20,7 +20,7 @@
 //! use ccache_trace::synth::sequential_scan;
 //!
 //! let trace = sequential_scan(0x0, 4096, 32, 4, 2, None);
-//! let fitness = ReplayFitness::new(trace);
+//! let fitness = ReplayFitness::new(&trace);
 //!
 //! let config = SystemConfig { page_size: 256, ..SystemConfig::default() };
 //! let narrow_tlb = SystemConfig { tlb_entries: 4, ..config };
@@ -72,7 +72,6 @@ impl Candidate {
 /// A trace packaged as a reusable fitness function.
 #[derive(Debug, Clone)]
 pub struct ReplayFitness {
-    trace: Trace,
     /// The trace decoded once into the `(addr, is_write)` pairs
     /// `MemoryBackend::run_batch` consumes, shared read-only by every evaluation (and
     /// by clones of this fitness).
@@ -85,14 +84,13 @@ impl ReplayFitness {
     /// Wraps a trace for repeated evaluation, decoding it once into the shared
     /// reference arena. Evaluation batches run thread-parallel when the `parallel`
     /// feature is enabled.
-    pub fn new(trace: Trace) -> Self {
+    pub fn new(trace: &Trace) -> Self {
         let arena: Vec<(u64, bool)> = trace
             .as_slice()
             .iter()
             .map(|ev| (ev.addr, ev.is_write()))
             .collect();
         ReplayFitness {
-            trace,
             arena: Arc::new(arena),
             parallel: true,
             registry: Registry::global(),
@@ -112,11 +110,6 @@ impl ReplayFitness {
     /// are unaffected.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.registry = registry.clone();
-    }
-
-    /// The wrapped trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Replays the trace for one candidate and returns the run statistics.
@@ -178,18 +171,18 @@ mod tests {
 
     #[test]
     fn evaluate_matches_a_hand_built_engine() {
-        let fitness = ReplayFitness::new(trace());
+        let fitness = ReplayFitness::new(&trace());
         let candidate = Candidate::column_cache(config(), steered());
         let result = fitness.evaluate("x", &candidate).unwrap();
 
         let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
         engine.apply(&steered()).unwrap();
-        assert_eq!(result, engine.replay("x", fitness.trace()));
+        assert_eq!(result, engine.replay("x", &trace()));
     }
 
     #[test]
     fn batches_preserve_order_and_match_serial() {
-        let fitness = ReplayFitness::new(trace());
+        let fitness = ReplayFitness::new(&trace());
         let candidates: Vec<Candidate> = BackendKind::ALL
             .into_iter()
             .map(|backend| Candidate {
@@ -222,7 +215,7 @@ mod tests {
 
     #[test]
     fn invalid_geometry_is_an_error_not_a_panic() {
-        let fitness = ReplayFitness::new(trace());
+        let fitness = ReplayFitness::new(&trace());
         let bad = SystemConfig {
             cache: CacheConfig::default(),
             tlb_entries: 0,

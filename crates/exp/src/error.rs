@@ -22,6 +22,13 @@ pub enum ExpError {
     Opt(ccache_opt::OptError),
     /// Reading a spec or trace file failed.
     Io(std::io::Error),
+    /// The spec's grids expand to more jobs than [`MAX_JOBS`](crate::spec::MAX_JOBS).
+    TooManyJobs {
+        /// The (saturating) number of jobs the spec expands to.
+        jobs: u64,
+        /// The limit it exceeds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for ExpError {
@@ -33,6 +40,10 @@ impl fmt::Display for ExpError {
             ExpError::Sim(e) => write!(f, "{e}"),
             ExpError::Opt(e) => write!(f, "{e}"),
             ExpError::Io(e) => write!(f, "{e}"),
+            ExpError::TooManyJobs { jobs, limit } => write!(
+                f,
+                "invalid experiment spec: it expands to {jobs} jobs (the limit is {limit})"
+            ),
         }
     }
 }
@@ -40,7 +51,7 @@ impl fmt::Display for ExpError {
 impl std::error::Error for ExpError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ExpError::BadSpec { .. } => None,
+            ExpError::BadSpec { .. } | ExpError::TooManyJobs { .. } => None,
             ExpError::Json(e) => Some(e),
             ExpError::Core(e) => Some(e),
             ExpError::Sim(e) => Some(e),

@@ -518,6 +518,12 @@ impl ToJson for ExperimentSpec {
 
 // ----------------------------------------------------------------------- JSON in
 
+/// The most jobs a decoded spec may expand to. Planning materialises every job before
+/// any geometry is validated, so an unbounded grid (say, a partition sweep over a
+/// billion columns) would exhaust memory; the presets and example specs plan at most a
+/// few hundred jobs.
+pub const MAX_JOBS: u64 = 1 << 16;
+
 fn bad(reason: impl Into<String>) -> ExpError {
     ExpError::BadSpec {
         reason: reason.into(),
@@ -720,13 +726,12 @@ impl ReplayGrid {
                     let raw = b
                         .as_str()
                         .ok_or_else(|| bad("'backends' entries must be strings"))?;
-                    // Resolution goes through the shared registry, so spec spellings
-                    // and the derived error list cannot drift from the CLI's.
-                    let registry = ccache_sim::BackendRegistry::global();
-                    registry.kind_of(raw).ok_or_else(|| {
+                    // The CLI resolves through the same table, so spec spellings and
+                    // the derived error list cannot drift from the CLI's.
+                    BackendKind::parse(raw).ok_or_else(|| {
                         bad(format!(
                             "unknown backend '{raw}' (expected {})",
-                            registry.expected_single()
+                            BackendKind::expected_single()
                         ))
                     })
                 })
@@ -920,11 +925,46 @@ impl ExperimentSpec {
                 "the spec needs at least one 'replay' or 'multitask' grid",
             ));
         }
-        Ok(ExperimentSpec {
+        let spec = ExperimentSpec {
             name,
             replay,
             multitask,
-        })
+        };
+        let jobs = spec.job_count();
+        if jobs > MAX_JOBS {
+            return Err(ExpError::TooManyJobs {
+                jobs,
+                limit: MAX_JOBS,
+            });
+        }
+        Ok(spec)
+    }
+
+    /// The number of jobs [`plan::expand`](crate::plan::expand) produces for this spec
+    /// (before dedup), as a saturating product that never materialises a job: a
+    /// partition sweep counts `columns + 1` per geometry, every other policy one.
+    pub fn job_count(&self) -> u64 {
+        let replay = self.replay.iter().map(|grid| {
+            let per_cell = grid.geometries.iter().fold(0u64, |sum, geometry| {
+                grid.policies.iter().fold(sum, |sum, policy| {
+                    sum.saturating_add(match policy {
+                        PolicySpec::PartitionSweep => (geometry.columns as u64).saturating_add(1),
+                        _ => 1,
+                    })
+                })
+            });
+            (grid.workloads.len() as u64)
+                .saturating_mul(grid.backends.len() as u64)
+                .saturating_mul(per_cell)
+        });
+        let multitask = self.multitask.iter().map(|grid| {
+            (grid.configs.len() as u64)
+                .saturating_mul(grid.policies.len() as u64)
+                .saturating_mul(grid.quanta.len() as u64)
+        });
+        replay
+            .chain(multitask)
+            .fold(0, |sum, jobs: u64| sum.saturating_add(jobs))
     }
 
     /// Parses a spec from JSON text.
@@ -1025,6 +1065,11 @@ mod tests {
             (
                 r#"{"name":"x","replay":[{"workloads":["fir"],"geometries":[{"replacement":"mru"}]}]}"#,
                 "unknown replacement policy",
+            ),
+            (
+                r#"{"name":"x","replay":[{"workloads":["fir"],"geometries":[{"columns":1000000000}],
+                   "policies":["partition-sweep"]}]}"#,
+                "expands to 1000000001 jobs (the limit is 65536)",
             ),
         ] {
             let err = ExperimentSpec::parse_str(text).unwrap_err();

@@ -158,6 +158,7 @@ proptest! {
 
         // Accounting: the plan reports the true expansion size.
         prop_assert_eq!(planned.expanded, expanded.len());
+        prop_assert_eq!(spec.job_count(), expanded.len() as u64);
 
         // No duplicates survive planning.
         let unique: std::collections::HashSet<&String> = planned_keys.iter().collect();

@@ -82,7 +82,7 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator over `space` replaying `trace`, allowed `budget` real
     /// replays. `serial` forces single-threaded evaluation even when the `parallel`
     /// feature is compiled in (used to prove schedule independence).
-    pub fn new(space: &'a SearchSpace, trace: Trace, budget: usize, serial: bool) -> Self {
+    pub fn new(space: &'a SearchSpace, trace: &Trace, budget: usize, serial: bool) -> Self {
         let fitness = if serial {
             ReplayFitness::new(trace).serial()
         } else {
@@ -178,10 +178,9 @@ impl<'a> Evaluator<'a> {
     /// Scores a non-genome reference point (e.g. the set-associative baseline) on the
     /// same trace, outside the cache and the budget.
     ///
-    /// Like every candidate replay, the backend is built through the shared
-    /// [`BackendRegistry`](ccache_sim::BackendRegistry) (via `ReplayEngine::new`), so
-    /// the optimizer cannot construct a backend the rest of the stack would not
-    /// resolve by name.
+    /// Like every candidate replay, the backend is built by `ReplayEngine::new` from a
+    /// [`BackendKind`], so the optimizer cannot construct a backend the rest of the
+    /// stack would not resolve by name.
     ///
     /// # Errors
     ///
@@ -241,7 +240,7 @@ mod tests {
     fn duplicates_never_replay_twice() {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
-        let mut eval = Evaluator::new(&space, t, 100, false);
+        let mut eval = Evaluator::new(&space, &t, 100, false);
         let seed = space.seeded(0);
         let batch = vec![seed.clone(), seed.clone(), seed.clone()];
         let scores = eval.evaluate_batch(&batch).unwrap();
@@ -258,7 +257,7 @@ mod tests {
     fn budget_caps_real_replays_only() {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
-        let mut eval = Evaluator::new(&space, t, 2, false);
+        let mut eval = Evaluator::new(&space, &t, 2, false);
         let genomes = space.enumerate().take(5).collect::<Vec<_>>();
         let scores = eval.evaluate_batch(&genomes).unwrap();
         assert_eq!(eval.replays(), 2);
@@ -276,8 +275,8 @@ mod tests {
         let space =
             SearchSpace::build(&t, &s, template(), &GeometrySearch::standard(), &[]).unwrap();
         let genomes = space.enumerate().take(12).collect::<Vec<_>>();
-        let mut par = Evaluator::new(&space, t.clone(), 100, false);
-        let mut ser = Evaluator::new(&space, t, 100, true);
+        let mut par = Evaluator::new(&space, &t, 100, false);
+        let mut ser = Evaluator::new(&space, &t, 100, true);
         let a = par.evaluate_batch(&genomes).unwrap();
         let b = ser.evaluate_batch(&genomes).unwrap();
         assert_eq!(a, b);
@@ -288,7 +287,7 @@ mod tests {
     fn reference_points_do_not_touch_the_budget() {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
-        let eval = Evaluator::new(&space, t, 1, false);
+        let eval = Evaluator::new(&space, &t, 1, false);
         let fit = eval
             .reference_point(
                 BackendKind::SetAssociative,

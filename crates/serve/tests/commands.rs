@@ -107,6 +107,34 @@ fn running_a_spec_with_an_oversized_geometry_is_an_error_frame() {
 }
 
 #[test]
+fn running_a_spec_that_plans_too_many_jobs_is_an_error_frame() {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let spec = Json::parse(
+        r#"{"name": "huge", "replay": [{"workloads": ["fir"], "backends": ["column"],
+            "geometries": [{"capacity": 2048, "columns": 1000000000, "line": 32, "page": 128}],
+            "policies": ["partition-sweep"]}]}"#,
+    )
+    .unwrap();
+    let reply = client
+        .request(&Json::obj([("cmd", "run".to_json()), ("spec", spec)]))
+        .expect("run reply");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let message = reply
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("error message");
+    assert!(message.contains("1000000001 jobs"), "{message}");
+    // the server keeps serving
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn uploaded_traces_replay_by_name_everywhere() {
     let mut server = spawn_test_server(|_| {}).expect("bind test server");
     let mut client = Client::connect(server.addr()).expect("connect");

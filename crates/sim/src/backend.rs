@@ -448,22 +448,38 @@ impl BackendKind {
         }
     }
 
-    /// A one-line description, surfaced by the registry.
-    pub const fn summary(self) -> &'static str {
-        match self {
-            BackendKind::ColumnCache => "the software-controlled column cache",
-            BackendKind::SetAssociative => "a conventional set-associative cache",
-            BackendKind::IdealScratchpad => "every reference at scratchpad latency",
-        }
+    /// Parses any accepted spelling of a backend name: canonical, short or alias.
+    ///
+    /// This is the one name table: the CLI flags, the experiment-spec grammar and the
+    /// `Session` builder all resolve through it, so their accepted spellings cannot
+    /// drift apart.
+    pub fn parse(s: &str) -> Option<BackendKind> {
+        BackendKind::ALL.into_iter().find(|kind| {
+            kind.canonical_name() == s || kind.short_name() == s || kind.alias_names().contains(&s)
+        })
     }
 
-    /// Parses a backend name as used on experiment command lines.
-    ///
-    /// Resolution goes through the shared [`BackendRegistry`](crate::BackendRegistry),
-    /// so the accepted spellings cannot drift from what the CLI and the experiment
-    /// specs accept.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        crate::registry::BackendRegistry::global().kind_of(s)
+    /// The `expected ...` list of short names for single-backend flags and names,
+    /// e.g. `"column, set-assoc or ideal"`. Derived from [`BackendKind::ALL`].
+    pub fn expected_single() -> String {
+        join_expected(&BackendKind::ALL.map(BackendKind::short_name))
+    }
+
+    /// As [`BackendKind::expected_single`], for flags that also accept `all`, e.g.
+    /// `"column, set-assoc, ideal or all"`.
+    pub fn expected_list() -> String {
+        let mut names = BackendKind::ALL.map(BackendKind::short_name).to_vec();
+        names.push("all");
+        join_expected(&names)
+    }
+}
+
+/// Joins names as English usage text: `"a, b or c"`.
+fn join_expected(names: &[&str]) -> String {
+    match names {
+        [] => String::new(),
+        [only] => (*only).to_owned(),
+        [init @ .., last] => format!("{} or {last}", init.join(", ")),
     }
 }
 
@@ -552,8 +568,28 @@ mod tests {
         for kind in BackendKind::ALL {
             assert_eq!(BackendKind::parse(&kind.to_string()), Some(kind));
         }
-        assert_eq!(BackendKind::parse("column"), Some(BackendKind::ColumnCache));
+        for (spelling, kind) in [
+            ("column", BackendKind::ColumnCache),
+            ("setassoc", BackendKind::SetAssociative),
+            ("baseline", BackendKind::SetAssociative),
+            ("ideal", BackendKind::IdealScratchpad),
+        ] {
+            assert_eq!(BackendKind::parse(spelling), Some(kind), "{spelling}");
+        }
         assert_eq!(BackendKind::parse("bogus"), None);
         assert_eq!(BackendKind::default(), BackendKind::ColumnCache);
+    }
+
+    #[test]
+    fn expected_strings_are_derived_from_kind_order() {
+        assert_eq!(BackendKind::expected_single(), "column, set-assoc or ideal");
+        assert_eq!(
+            BackendKind::expected_list(),
+            "column, set-assoc, ideal or all"
+        );
+        assert_eq!(
+            BackendKind::ALL.map(BackendKind::canonical_name),
+            ["column-cache", "set-assoc", "ideal-scratchpad"]
+        );
     }
 }

@@ -54,18 +54,6 @@ pub enum SimError {
         /// Configured page size in bytes.
         page_size: u64,
     },
-    /// A backend name did not resolve in the [`BackendRegistry`](crate::BackendRegistry).
-    UnknownBackend {
-        /// The name that failed to resolve.
-        name: String,
-        /// The accepted names, for the error message (derived from the registry).
-        expected: String,
-    },
-    /// A backend registration collided with a name (or alias) already registered.
-    DuplicateBackend {
-        /// The colliding name.
-        name: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -101,12 +89,6 @@ impl fmt::Display for SimError {
                 "cache line of {line_size} bytes exceeds the {page_size}-byte page, so one \
                  line would span pages with different tints"
             ),
-            SimError::UnknownBackend { name, expected } => {
-                write!(f, "unknown backend '{name}' (expected {expected})")
-            }
-            SimError::DuplicateBackend { name } => {
-                write!(f, "backend '{name}' is already registered")
-            }
         }
     }
 }

@@ -40,7 +40,6 @@ pub mod json;
 pub mod mask;
 pub mod memory;
 pub mod page_table;
-pub mod registry;
 pub mod replacement;
 pub mod scratchpad;
 pub mod stats;
@@ -55,7 +54,6 @@ pub use error::SimError;
 pub use mask::ColumnMask;
 pub use memory::MainMemory;
 pub use page_table::{PageEntry, PageTable};
-pub use registry::{BackendEntry, BackendFactory, BackendRegistry};
 pub use replacement::{ReplacementPolicy, ReplacementState};
 pub use scratchpad::Scratchpad;
 pub use stats::{BatchMemoStats, CacheStats, CycleReport, MemoryStats};

@@ -29,8 +29,9 @@
 //! # Quick start: the `Session` facade
 //!
 //! [`Session`] is the library's front door: a builder configures geometry, backend
-//! (through the [`BackendRegistry`](sim::BackendRegistry)), scale and observation once,
-//! and the session then drives replays, experiment specs and tuning runs.
+//! (any spelling [`BackendKind::parse`](sim::BackendKind::parse) accepts), scale and
+//! observation once, and the session then drives replays, experiment specs and tuning
+//! runs.
 //!
 //! ```
 //! use column_caching::Session;

@@ -16,8 +16,7 @@
 //! # Ok::<(), column_caching::SessionError>(())
 //! ```
 //!
-//! The session owns a [`BackendRegistry`] clone, so user backends registered on the
-//! builder are replayable by name with the exact engine the built-ins use, and the
+//! The session resolves its backend name once, through [`BackendKind::parse`], and the
 //! configured observation window is honoured by every replay the session runs —
 //! including full experiment specs ([`Session::run_spec`]), where it surfaces as the
 //! artefact's `time_series` blocks. The `ccache` CLI commands are thin clients of this
@@ -30,8 +29,7 @@ use ccache_exp::exec::{ExecOptions, ObserveOptions};
 use ccache_exp::{Artefact, ExpError, ExperimentSpec, GeometrySpec, Plan};
 use ccache_json::{Json, ToJson};
 use ccache_opt::{OptError, TuneOutcome, TuneProgress, TuneRequest};
-use ccache_sim::backend::MemoryBackend;
-use ccache_sim::{BackendRegistry, SimError, SystemConfig};
+use ccache_sim::{BackendKind, SimError, SystemConfig};
 use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace};
 
@@ -41,7 +39,7 @@ use ccache_trace::{SymbolTable, Trace};
 pub enum SessionError {
     /// A name failed to resolve or a request was malformed.
     BadRequest(String),
-    /// A simulator configuration or registry operation failed.
+    /// A simulator configuration failed.
     Sim(SimError),
     /// A replay or experiment failed in the core layer.
     Core(CoreError),
@@ -112,15 +110,13 @@ pub struct Replayed {
 /// Configures and validates a [`Session`].
 ///
 /// Defaults: the paper's Figure 4 geometry ([`GeometrySpec::default`]), the
-/// column-cache backend, full-scale workloads, no observation, the built-in backend
-/// registry.
+/// column-cache backend, full-scale workloads, no observation.
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     geometry: GeometrySpec,
     backend: String,
     quick: bool,
     observe: Option<u64>,
-    registry: BackendRegistry,
     telemetry: Option<Registry>,
 }
 
@@ -131,7 +127,6 @@ impl Default for SessionBuilder {
             backend: "column-cache".to_owned(),
             quick: false,
             observe: None,
-            registry: BackendRegistry::builtin(),
             telemetry: None,
         }
     }
@@ -150,8 +145,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the backend the session replays on, by any registered spelling
-    /// (built-in or user-registered). Validated at [`SessionBuilder::build`].
+    /// Selects the backend the session replays on, by any spelling
+    /// [`BackendKind::parse`] accepts. Validated at [`SessionBuilder::build`].
     pub fn backend(mut self, name: impl Into<String>) -> Self {
         self.backend = name.into();
         self
@@ -178,50 +173,27 @@ impl SessionBuilder {
         self
     }
 
-    /// Registers a user backend on the session's registry under `name` plus `aliases`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a name collides with an already registered backend.
-    pub fn register_backend<F>(
-        mut self,
-        name: &str,
-        aliases: &[&str],
-        summary: &str,
-        factory: F,
-    ) -> Result<Self, SessionError>
-    where
-        F: Fn(SystemConfig) -> Result<Box<dyn MemoryBackend>, SimError> + Send + Sync + 'static,
-    {
-        self.registry.register(name, aliases, summary, factory)?;
-        Ok(self)
-    }
-
     /// Validates the configuration and produces the session.
     ///
     /// # Errors
     ///
-    /// Fails for invalid geometries and for backend names the registry cannot resolve
-    /// (the message lists the accepted names, derived from the registry).
+    /// Fails for invalid geometries and for unknown backend names (the message lists
+    /// the accepted names, derived from [`BackendKind::ALL`]).
     pub fn build(self) -> Result<Session, SessionError> {
         let config = self.geometry.system_config()?;
-        let backend = match self.registry.resolve(&self.backend) {
-            Some(entry) => entry.name().to_owned(),
-            None => {
-                return Err(SessionError::BadRequest(format!(
-                    "unknown backend '{}' (expected {})",
-                    self.backend,
-                    self.registry.expected_single()
-                )))
-            }
-        };
+        let backend = BackendKind::parse(&self.backend).ok_or_else(|| {
+            SessionError::BadRequest(format!(
+                "unknown backend '{}' (expected {})",
+                self.backend,
+                BackendKind::expected_single()
+            ))
+        })?;
         Ok(Session {
             geometry: self.geometry,
             config,
             backend,
             quick: self.quick,
             observe: self.observe,
-            registry: self.registry,
             telemetry: self.telemetry.unwrap_or_else(Registry::global),
         })
     }
@@ -233,10 +205,9 @@ impl SessionBuilder {
 pub struct Session {
     geometry: GeometrySpec,
     config: SystemConfig,
-    backend: String,
+    backend: BackendKind,
     quick: bool,
     observe: Option<u64>,
-    registry: BackendRegistry,
     telemetry: Registry,
 }
 
@@ -244,11 +215,6 @@ impl Session {
     /// Starts configuring a session.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
-    }
-
-    /// The session's backend registry (built-ins plus any user registrations).
-    pub fn registry(&self) -> &BackendRegistry {
-        &self.registry
     }
 
     /// The cache geometry the session replays under.
@@ -263,7 +229,7 @@ impl Session {
 
     /// The canonical name of the session's backend.
     pub fn backend(&self) -> &str {
-        &self.backend
+        self.backend.canonical_name()
     }
 
     /// Whether workloads are built at the reduced quick scale.
@@ -288,9 +254,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails if the backend factory rejects the configuration.
+    /// Fails if the backend rejects the configuration.
     pub fn engine(&self) -> Result<ReplayEngine, SessionError> {
-        let mut engine = ReplayEngine::from_registry(&self.registry, &self.backend, self.config)?;
+        let mut engine = ReplayEngine::new(self.backend, self.config)?;
         engine.set_telemetry(&self.telemetry);
         Ok(engine)
     }
@@ -539,13 +505,13 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccache_sim::backend::IdealScratchpad;
 
     #[test]
     fn default_session_replays_a_corpus_workload() {
         let session = Session::builder().quick(true).build().unwrap();
         assert_eq!(session.backend(), "column-cache");
-        assert!(!session.registry().names().is_empty());
+        let aliased = Session::builder().backend("baseline").build().unwrap();
+        assert_eq!(aliased.backend(), "set-assoc");
         let replayed = session.replay_corpus("fir").unwrap();
         assert!(replayed.result.references > 0);
         assert!(replayed.series.is_none());
@@ -577,24 +543,6 @@ mod tests {
         let session = Session::builder().quick(true).build().unwrap();
         let err = session.replay_corpus("nope").err().unwrap();
         assert!(err.to_string().contains("unknown workload 'nope'"));
-    }
-
-    #[test]
-    fn user_backends_are_replayable_by_name() {
-        let session = Session::builder()
-            .quick(true)
-            .register_backend("my-ideal", &[], "user-registered ideal", |cfg| {
-                Ok(Box::new(IdealScratchpad::new(cfg)?))
-            })
-            .unwrap()
-            .backend("my-ideal")
-            .build()
-            .unwrap();
-        assert_eq!(session.backend(), "my-ideal");
-        let replayed = session.replay_corpus("fir").unwrap();
-        // the ideal scratchpad never misses
-        assert_eq!(replayed.result.misses, 0);
-        assert!(session.registry().expected_single().contains("my-ideal"));
     }
 
     #[test]
