@@ -125,14 +125,7 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
     // Select the workload: a named corpus entry or a trace file with inferred regions.
     let (name, trace, symbols) = match trace_path {
         Some(path) => {
-            let trace = if ccache_trace::binfmt::is_binary_trace_file(&path)? {
-                let mut reader = ccache_trace::binfmt::TraceReader::open(&path)?;
-                reader.read_to_trace()?
-            } else {
-                ccache_trace::textfmt::read_trace(std::io::BufReader::new(std::fs::File::open(
-                    &path,
-                )?))?
-            };
+            let trace = ccache_trace::load_trace(&path)?;
             let symbols =
                 ccache_trace::infer::infer_symbols(&trace, template.page_size.max(4096), line);
             (path, trace, symbols)

@@ -51,3 +51,21 @@ fn run_rejects_an_oversized_partition_sweep_with_a_message() {
     );
     assert!(stderr.contains("1000000001 jobs"), "{stderr}");
 }
+
+#[test]
+fn run_rejects_a_trace_that_is_not_a_regular_file() {
+    // an endless device would otherwise be read as one unbounded text line
+    for policy in ["shared", "heuristic"] {
+        let stderr = run_fails_with_exit_1(
+            &format!("dev-zero-{policy}.json"),
+            &format!(
+                r#"{{"name":"z","replay":[{{"workloads":[{{"trace":"/dev/zero"}}],
+                    "policies":["{policy}"]}}]}}"#
+            ),
+        );
+        assert!(
+            stderr.contains("/dev/zero is not a regular file"),
+            "{stderr}"
+        );
+    }
+}

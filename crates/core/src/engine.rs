@@ -187,11 +187,6 @@ impl ReplayEngine {
         self.batch = batch.max(1);
     }
 
-    /// References handed to the backend per [`MemoryBackend::run_batch`] call.
-    pub fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     /// Programs a cache mapping into the backend.
     ///
     /// # Errors
@@ -285,10 +280,11 @@ impl ReplayEngine {
 
     /// The replay loop behind every public replay method.
     ///
-    /// Each batch holds at most [`ReplayEngine::batch_size`] references and, when
-    /// observed, never crosses a window boundary. After each batch the window tracker
-    /// emits any completed window; once the source is exhausted it flushes the final
-    /// partial window. Telemetry is fed from the backend's statistics after the loop.
+    /// Each batch holds at most the batch size ([`ReplayEngine::set_batch_size`])
+    /// references and, when observed, never crosses a window boundary. After each batch
+    /// the window tracker emits any completed window; once the source is exhausted it
+    /// flushes the final partial window. Telemetry is fed from the backend's statistics
+    /// after the loop.
     fn run(
         &mut self,
         name: &str,

@@ -147,7 +147,7 @@ pub struct RunResult {
     pub name: String,
     /// Total memory cycles (excluding software control overhead).
     pub memory_cycles: u64,
-    /// Software control cycles (tint management, preloads, explicit copies).
+    /// Software control cycles (tint management, preloads).
     pub control_cycles: u64,
     /// Cycle/CPI report including the compute model (control cycles excluded).
     pub report: CycleReport,

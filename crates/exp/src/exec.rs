@@ -255,7 +255,7 @@ impl Context {
                             if let std::collections::btree_map::Entry::Vacant(slot) =
                                 ctx.traces.entry(key)
                             {
-                                let trace = load_trace(path)?;
+                                let trace = ccache_trace::load_trace(path)?;
                                 let symbols = ccache_trace::infer::infer_symbols(
                                     &trace,
                                     job.geometry.page.max(4096),
@@ -315,17 +315,6 @@ impl Context {
                     reason: format!("trace '{path}' was not preloaded"),
                 }),
         }
-    }
-}
-
-fn load_trace(path: &str) -> Result<Trace, ExpError> {
-    if ccache_trace::binfmt::is_binary_trace_file(path)? {
-        let mut reader = ccache_trace::binfmt::TraceReader::open(path)?;
-        Ok(reader.read_to_trace()?)
-    } else {
-        Ok(ccache_trace::textfmt::read_trace(std::io::BufReader::new(
-            std::fs::File::open(path)?,
-        ))?)
     }
 }
 

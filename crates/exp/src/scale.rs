@@ -1,14 +1,11 @@
 //! Experiment scales and the fixed figure configurations.
 //!
-//! This module moved here from `ccache-cli` so the experiment layer, the CLI, the thin
-//! figure binaries and the Criterion benches all resolve `--quick` and the paper's
-//! configurations through one definition (the CLI re-exports it).
+//! The experiment layer and the CLI resolve `--quick` and the paper's configurations
+//! through this one definition (the CLI re-exports it).
 
-use ccache_core::multitask::MultitaskConfig;
 use ccache_core::partition::PartitionConfig;
-use ccache_workloads::gzipsim::{run_gzip_job, GzipConfig};
+use ccache_workloads::gzipsim::GzipConfig;
 use ccache_workloads::mpeg::MpegConfig;
-use ccache_workloads::multitask::Job;
 
 /// Scale of an experiment run: `Paper` uses the full working sets, `Quick` shrinks them so
 /// smoke tests and CI finish fast while preserving every qualitative shape.
@@ -69,29 +66,6 @@ pub fn figure4_config() -> PartitionConfig {
     PartitionConfig::default()
 }
 
-/// The Figure 5 cache configurations: (label, config) for 16 KiB and 128 KiB.
-pub fn figure5_configs() -> Vec<(&'static str, MultitaskConfig)> {
-    vec![
-        ("gzip.16k", MultitaskConfig::cache_16k()),
-        ("gzip.128k", MultitaskConfig::cache_128k()),
-    ]
-}
-
-/// Builds the three gzip jobs of Figure 5 with disjoint address spaces.
-pub fn figure5_jobs(scale: Scale) -> Vec<Job> {
-    let base_cfg = scale.gzip();
-    (0..3u64)
-        .map(|j| {
-            let run = run_gzip_job(
-                &base_cfg.with_seed(41 + j),
-                0x100_0000 * (j + 1),
-                &format!("gzip-{}", (b'A' + j as u8) as char),
-            );
-            Job::new(run.name.clone(), run.trace)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,27 +83,9 @@ mod tests {
     }
 
     #[test]
-    fn figure5_jobs_have_disjoint_address_spaces() {
-        let jobs = figure5_jobs(Scale::Quick);
-        assert_eq!(jobs.len(), 3);
-        let spans: Vec<(u64, u64)> = jobs
-            .iter()
-            .map(|j| {
-                let s = j.trace.stats();
-                (s.min_addr, s.max_addr)
-            })
-            .collect();
-        assert!(spans[0].1 < spans[1].0);
-        assert!(spans[1].1 < spans[2].0);
-    }
-
-    #[test]
     fn figure_configs_match_paper_parameters() {
         let f4 = figure4_config();
         assert_eq!(f4.capacity_bytes, 2048);
         assert_eq!(f4.columns, 4);
-        let f5 = figure5_configs();
-        assert_eq!(f5[0].1.capacity_bytes, 16 * 1024);
-        assert_eq!(f5[1].1.capacity_bytes, 128 * 1024);
     }
 }

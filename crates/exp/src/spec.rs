@@ -244,11 +244,6 @@ impl PolicySpec {
             PolicySpec::Tuned { strategy, .. } => format!("tuned-{strategy}"),
         }
     }
-
-    /// Whether this policy needs a symbol table (variable regions) to build a mapping.
-    pub fn needs_symbols(&self) -> bool {
-        !matches!(self, PolicySpec::Shared)
-    }
 }
 
 /// How replay-job labels (the `name` field of each run result) are derived.

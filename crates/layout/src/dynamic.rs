@@ -9,7 +9,6 @@ use crate::assignment::{assign_columns, ColumnAssignment, LayoutOptions};
 use crate::error::LayoutError;
 use crate::weights::{conflict_graph_from_trace, UnitMap, WeightOptions};
 use ccache_trace::{SymbolTable, Trace, VarId};
-use std::collections::BTreeMap;
 
 /// Layout computed for one procedure (program phase).
 #[derive(Debug, Clone, PartialEq)]
@@ -92,31 +91,6 @@ pub fn plan_phases(
         phases: layouts,
         remap_counts,
     })
-}
-
-/// Merges per-phase assignments into one static assignment by majority vote (each variable
-/// goes to the column most phases prefer, weighted by references). This is the "single
-/// static partition" a column cache is compared against in Figure 4(d).
-pub fn merge_static(plan: &DynamicPlan, columns: usize) -> BTreeMap<VarId, usize> {
-    let mut votes: BTreeMap<VarId, BTreeMap<usize, u64>> = BTreeMap::new();
-    for phase in &plan.phases {
-        for (var, cols) in &phase.assignment.var_columns {
-            for &c in cols {
-                *votes.entry(*var).or_default().entry(c).or_insert(0) += phase.references;
-            }
-        }
-    }
-    votes
-        .into_iter()
-        .map(|(var, by_col)| {
-            let best = by_col
-                .into_iter()
-                .max_by_key(|&(c, v)| (v, std::cmp::Reverse(c)))
-                .map(|(c, _)| c)
-                .unwrap_or(0);
-            (var, best.min(columns.saturating_sub(1)))
-        })
-        .collect()
 }
 
 /// Builds the unit map used by a plan (exposed so callers can translate vertex indices of a
@@ -208,21 +182,6 @@ mod tests {
         .unwrap();
         let a = &plan.phases[0].assignment;
         assert_eq!(remap_count(a, a), 0);
-    }
-
-    #[test]
-    fn merge_static_produces_one_column_per_variable() {
-        let (phases, symbols) = two_phase_setup();
-        let plan = plan_phases(
-            &phases,
-            &symbols,
-            &WeightOptions::default(),
-            &LayoutOptions::new(2, 512),
-        )
-        .unwrap();
-        let merged = merge_static(&plan, 2);
-        assert_eq!(merged.len(), 3);
-        assert!(merged.values().all(|&c| c < 2));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! weights; zero-weight edges are implicit and are exactly the edges the paper deletes
 //! before coloring.
 
-use crate::error::LayoutError;
 use ccache_trace::VarId;
 use std::collections::BTreeMap;
 
@@ -75,12 +74,6 @@ impl ConflictGraph {
         self.vertices.iter().position(|v| v.var == var)
     }
 
-    /// Finds the index of the vertex for a variable or returns an error.
-    pub fn try_index_of(&self, var: VarId) -> Result<usize, LayoutError> {
-        self.index_of(var)
-            .ok_or(LayoutError::UnknownVariable { var })
-    }
-
     /// Sets the weight of the undirected edge `(a, b)`. A weight of zero removes the edge.
     ///
     /// # Panics
@@ -118,27 +111,6 @@ impl ConflictGraph {
     /// Iterates over non-zero edges as `(a, b, weight)` with `a < b`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         self.edges.iter().map(|(&(a, b), &w)| (a, b, w))
-    }
-
-    /// The neighbors of `v` joined by non-zero edges.
-    pub fn neighbors(&self, v: usize) -> Vec<usize> {
-        self.edges
-            .keys()
-            .filter_map(|&(a, b)| {
-                if a == v {
-                    Some(b)
-                } else if b == v {
-                    Some(a)
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// Degree of `v` counting only non-zero edges.
-    pub fn degree(&self, v: usize) -> usize {
-        self.neighbors(v).len()
     }
 
     /// Total weight of all edges.
@@ -248,7 +220,7 @@ mod tests {
         assert_eq!(g.weight(0, 0), 0);
         assert_eq!(g.total_weight(), 15);
         assert_eq!(g.index_of(VarId(2)), Some(2));
-        assert!(g.try_index_of(VarId(9)).is_err());
+        assert_eq!(g.index_of(VarId(9)), None);
         assert_eq!(g.vertex(1).unwrap().size, 200);
         assert_eq!(g.vertices().count(), 3);
     }
@@ -259,8 +231,8 @@ mod tests {
         g.set_weight(0, 1, 0);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.weight(0, 1), 0);
-        assert_eq!(g.neighbors(0), vec![2]);
-        assert_eq!(g.degree(1), 1);
+        let edges: Vec<_> = g.edges().collect();
+        assert_eq!(edges, vec![(0, 2, 7), (1, 2, 3)]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!    column-sized pieces; small variables stay whole (Step 1).
 //! 2. **Conflict graph** ([`graph::ConflictGraph`]) — a complete weighted graph where
 //!    `w(v_i, v_j)` counts the accesses that potentially conflict when `v_i` and `v_j`
-//!    share a column. Weights come either from a recorded trace
-//!    ([`weights::conflict_graph_from_trace`]) or from compile-time estimates
-//!    ([`static_analysis::ProgramIr`]) (Step 2).
+//!    share a column. Weights come from a recorded trace
+//!    ([`weights::conflict_graph_from_trace`]) (Step 2).
 //! 3. **Column assignment** ([`assignment::assign_columns`]) — exact minimum graph coloring
 //!    when it fits in the available columns, otherwise the paper's minimum-weight-edge
 //!    merging heuristic; variables can be forced into scratchpad columns (Step 3 and
@@ -49,7 +48,6 @@ pub mod coloring;
 pub mod dynamic;
 pub mod error;
 pub mod graph;
-pub mod static_analysis;
 pub mod weights;
 
 pub use assignment::{
@@ -59,7 +57,6 @@ pub use assignment::{
 pub use dynamic::{plan_phases, remap_count, DynamicPlan, PhaseLayout};
 pub use error::LayoutError;
 pub use graph::{ConflictGraph, Vertex};
-pub use static_analysis::{ProgramIr, Stmt};
 pub use weights::{
     conflict_graph_from_profile, conflict_graph_from_trace, LayoutUnit, UnitMap, WeightOptions,
 };
@@ -70,6 +67,5 @@ pub mod prelude {
     pub use crate::dynamic::{plan_phases, DynamicPlan};
     pub use crate::error::LayoutError;
     pub use crate::graph::ConflictGraph;
-    pub use crate::static_analysis::{ProgramIr, Stmt};
     pub use crate::weights::{conflict_graph_from_trace, UnitMap, WeightOptions};
 }

@@ -121,16 +121,6 @@ impl UnitMap {
             .iter()
             .position(|u| u.var == var && offset >= u.offset && offset < u.offset + u.size)
     }
-
-    /// All unit indices belonging to a variable.
-    pub fn units_of(&self, var: VarId) -> Vec<usize> {
-        self.units
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.var == var)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Per-unit profile gathered while scanning the trace.
@@ -269,7 +259,6 @@ mod tests {
         assert_eq!(um.unit(0).unwrap().name, "small");
         assert_eq!(um.unit(1).unwrap().name, "big[0]");
         assert_eq!(um.unit(3).unwrap().size, 176);
-        assert_eq!(um.units_of(VarId(1)), vec![1, 2, 3]);
         assert_eq!(um.resolve(VarId(1), 600), Some(2));
         assert_eq!(um.resolve(VarId(1), 100), Some(1));
         assert_eq!(um.resolve(VarId(0), 50), Some(0));

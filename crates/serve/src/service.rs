@@ -22,9 +22,9 @@ use ccache_opt::{GenerationPoint, StrategyKind, TuneProgress, TuneRequest};
 use ccache_telemetry::{bucket_of, Counter, Gauge, Registry};
 use column_caching::Session;
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -694,7 +694,7 @@ impl Service {
             (run.name, run.trace)
         } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
             let path = self.upload_path(t).unwrap_or_else(|| PathBuf::from(t));
-            let trace = load_trace(&path)
+            let trace = ccache_trace::load_trace(&path)
                 .map_err(|e| Refusal::bad_request(format!("cannot load trace '{t}': {e}")))?;
             (t.to_owned(), trace)
         } else {
@@ -746,7 +746,7 @@ impl Service {
             (run.name, run.trace, run.symbols)
         } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
             let path = self.upload_path(t).unwrap_or_else(|| PathBuf::from(t));
-            let trace = load_trace(&path)
+            let trace = ccache_trace::load_trace(&path)
                 .map_err(|e| Refusal::bad_request(format!("cannot load trace '{t}': {e}")))?;
             let config = session.config();
             let symbols = ccache_trace::infer::infer_symbols(
@@ -1069,13 +1069,5 @@ impl ReplayObserver for Streamer<'_> {
             ("event", "replay".to_json()),
             ("data", event.to_json()),
         ]));
-    }
-}
-
-fn load_trace(path: &Path) -> std::io::Result<ccache_trace::Trace> {
-    if ccache_trace::binfmt::is_binary_trace_file(path)? {
-        ccache_trace::binfmt::read_trace(std::fs::File::open(path)?)
-    } else {
-        ccache_trace::textfmt::read_trace(BufReader::new(std::fs::File::open(path)?))
     }
 }

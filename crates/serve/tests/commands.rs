@@ -78,6 +78,63 @@ fn replaying_a_trace_that_declares_too_many_events_is_an_error_frame() {
     server.shutdown();
 }
 
+/// Sends `replay` requests naming `trace` under every policy path (`shared` streams,
+/// `heuristic` decodes into memory) and returns their error messages, then checks that
+/// the server still answers `status`.
+fn failed_replay_messages(trace: &str) -> Vec<String> {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut messages = Vec::new();
+    for policy in ["shared", "heuristic"] {
+        let reply = client
+            .request(&Json::obj([
+                ("cmd", "replay".to_json()),
+                ("trace", trace.to_json()),
+                ("policy", policy.to_json()),
+            ]))
+            .expect("replay reply");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let message = reply
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .expect("error message");
+        messages.push(message.to_owned());
+    }
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+    messages
+}
+
+#[test]
+fn replaying_something_that_is_not_a_regular_file_is_an_error_frame() {
+    let dir = std::env::temp_dir().join("ccache-serve-not-a-file");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for trace in ["/dev/zero".to_owned(), dir.to_string_lossy().into_owned()] {
+        for message in failed_replay_messages(&trace) {
+            assert!(
+                message.contains("is not a regular file"),
+                "{trace}: {message}"
+            );
+        }
+    }
+}
+
+#[test]
+fn trace_errors_do_not_echo_the_file_contents() {
+    let dir = std::env::temp_dir().join("ccache-serve-echo");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("marker.trace");
+    std::fs::write(&path, "secret-marker-7f3a\n").expect("write marker file");
+    for message in failed_replay_messages(&path.to_string_lossy()) {
+        assert!(message.contains("line 1"), "{message}");
+        assert!(!message.contains("secret-marker"), "{message}");
+    }
+}
+
 #[test]
 fn running_a_spec_with_an_oversized_geometry_is_an_error_frame() {
     let mut server = spawn_test_server(|_| {}).expect("bind test server");

@@ -308,18 +308,6 @@ impl ColumnCache {
         fetched
     }
 
-    /// Invalidates every line without writing anything back. Returns the number of lines
-    /// dropped.
-    pub fn invalidate_all(&mut self) -> u64 {
-        let mut dropped = 0;
-        for set in 0..self.valid.len() {
-            dropped += u64::from(self.valid[set].count_ones());
-            self.valid[set] = 0;
-            self.dirty[set] = 0;
-        }
-        dropped
-    }
-
     /// Writes back every dirty line and invalidates the cache. Returns the number of
     /// writebacks performed (also added to the statistics).
     pub fn flush(&mut self) -> u64 {
@@ -481,16 +469,6 @@ mod tests {
         assert_eq!(c.occupancy(3).unwrap(), 16);
         // preloading again costs nothing
         assert_eq!(c.preload(0x8000, 512, ColumnMask::single(3)), 0);
-    }
-
-    #[test]
-    fn invalidate_drops_without_writeback() {
-        let mut c = small_cache();
-        c.access(0x9000, true, ColumnMask::all(4));
-        let before = c.stats().writebacks;
-        assert_eq!(c.invalidate_all(), 1);
-        assert_eq!(c.stats().writebacks, before);
-        assert_eq!(c.valid_lines(), 0);
     }
 
     #[test]

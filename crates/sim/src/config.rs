@@ -74,11 +74,6 @@ impl CacheConfig {
         self.capacity_bytes / self.columns as u64
     }
 
-    /// Number of lines in one column (same as the number of sets).
-    pub fn lines_per_column(&self) -> usize {
-        self.sets()
-    }
-
     /// Total number of lines in the cache.
     pub fn total_lines(&self) -> usize {
         self.sets() * self.columns
@@ -236,7 +231,7 @@ pub struct LatencyConfig {
     pub miss_penalty: u64,
     /// Additional cycles charged when a dirty victim line must be written back.
     pub writeback_penalty: u64,
-    /// Cycles charged for an access to dedicated scratchpad SRAM.
+    /// Cycles charged for an access to on-chip SRAM (the [`crate::IdealScratchpad`] backend).
     pub scratchpad_latency: u64,
     /// Cycles charged for an uncached access that goes straight to main memory.
     pub uncached_latency: u64,

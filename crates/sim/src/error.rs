@@ -27,23 +27,6 @@ pub enum SimError {
     },
     /// A column mask was empty (no replacement candidates) where one is required.
     EmptyMask,
-    /// A tint was used without first being defined in the tint table.
-    UnknownTint {
-        /// The numeric identifier of the tint.
-        tint: u32,
-    },
-    /// An address could not be translated because no page-table entry covers it.
-    UnmappedAddress {
-        /// The offending address.
-        addr: u64,
-    },
-    /// A scratchpad region was configured with inconsistent bounds.
-    BadScratchpadRange {
-        /// Start of the region.
-        base: u64,
-        /// Size of the region in bytes.
-        size: u64,
-    },
     /// The TLB was configured with no entries; translation needs at least one slot.
     ZeroTlbEntries,
     /// The cache line is larger than the mapping granularity, so one line would span
@@ -70,16 +53,6 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::EmptyMask => write!(f, "column mask selects no columns"),
-            SimError::UnknownTint { tint } => write!(f, "tint {tint} is not defined"),
-            SimError::UnmappedAddress { addr } => {
-                write!(f, "address {addr:#x} has no page-table entry")
-            }
-            SimError::BadScratchpadRange { base, size } => {
-                write!(
-                    f,
-                    "scratchpad range at {base:#x} of {size} bytes is invalid"
-                )
-            }
             SimError::ZeroTlbEntries => write!(f, "TLB must have at least one entry"),
             SimError::LineExceedsPage {
                 line_size,
@@ -113,9 +86,6 @@ mod tests {
         }
         .to_string()
         .contains('9'));
-        assert!(SimError::UnmappedAddress { addr: 0x1234 }
-            .to_string()
-            .contains("0x1234"));
     }
 
     #[test]

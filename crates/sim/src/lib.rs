@@ -2,9 +2,10 @@
 //!
 //! This crate implements the *hardware* half of the paper: a set-associative cache whose
 //! replacement unit can be restricted, per access, to a subset of its ways ("columns"), the
-//! TLB/page-table machinery that carries the mapping information (as *tints*), a dedicated
-//! scratchpad SRAM model for baselines, an off-chip memory model and a cycle-approximate
-//! timing model.
+//! TLB/page-table machinery that carries the mapping information (as *tints*), an off-chip
+//! memory model and a cycle-approximate timing model. Scratchpad memory is not a separate
+//! model: it is columns dedicated to a region ([`MemorySystem::map_exclusive_region`]), and
+//! [`IdealScratchpad`] is the lower-bound backend.
 //!
 //! The main entry point is [`system::MemorySystem`], which exposes both the datapath
 //! (replay memory references, collect hit/miss/cycle statistics) and the software control
@@ -23,7 +24,8 @@
 //! sys.tint_range(0x1000..0x1200, Tint(1));
 //!
 //! // Replay some references.
-//! let cycles = sys.run((0..16u64).map(|i| (0x1000 + i * 32, false)));
+//! let refs: Vec<(u64, bool)> = (0..16u64).map(|i| (0x1000 + i * 32, false)).collect();
+//! let cycles = sys.run_batch(&refs);
 //! assert!(cycles > 0);
 //! assert_eq!(sys.cache_stats().misses, 16);
 //! # Ok::<(), ccache_sim::SimError>(())
@@ -41,7 +43,6 @@ pub mod mask;
 pub mod memory;
 pub mod page_table;
 pub mod replacement;
-pub mod scratchpad;
 pub mod stats;
 pub mod system;
 pub mod tint;
@@ -55,7 +56,6 @@ pub use mask::ColumnMask;
 pub use memory::MainMemory;
 pub use page_table::{PageEntry, PageTable};
 pub use replacement::{ReplacementPolicy, ReplacementState};
-pub use scratchpad::Scratchpad;
 pub use stats::{BatchMemoStats, CacheStats, CycleReport, MemoryStats};
 pub use system::{MemorySystem, SystemConfig};
 pub use tint::{Tint, TintTable};

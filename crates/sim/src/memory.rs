@@ -50,11 +50,6 @@ impl MainMemory {
         self.write_latency
     }
 
-    /// Total lines transferred in either direction.
-    pub fn total_transfers(&self) -> u64 {
-        self.line_reads + self.line_writes
-    }
-
     /// Total bytes transferred in either direction.
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
@@ -89,7 +84,6 @@ mod tests {
         assert_eq!(m.line_writes, 1);
         assert_eq!(m.bytes_read, 96);
         assert_eq!(m.bytes_written, 32);
-        assert_eq!(m.total_transfers(), 3);
         assert_eq!(m.total_bytes(), 128);
     }
 

@@ -96,14 +96,14 @@ impl AddAssign<&BatchMemoStats> for BatchMemoStats {
     }
 }
 
-/// Counters maintained by the memory system wrapper (cache + TLB + scratchpad + DRAM).
+/// Counters maintained by the memory system wrapper (cache + TLB + DRAM).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Memory references processed.
     pub references: u64,
     /// Total cycles spent on memory (hit latencies, miss penalties, writebacks, TLB walks).
     pub memory_cycles: u64,
-    /// References satisfied by dedicated scratchpad SRAM.
+    /// References served at scratchpad latency (the [`crate::IdealScratchpad`] backend).
     pub scratchpad_accesses: u64,
     /// References that bypassed the cache entirely (uncacheable pages or empty masks).
     pub uncached_accesses: u64,

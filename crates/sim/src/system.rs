@@ -1,5 +1,5 @@
 //! The complete simulated memory system: column cache + TLB + page table + tint table +
-//! optional dedicated scratchpad + main memory, with a cycle-approximate timing model.
+//! main memory, with a cycle-approximate timing model.
 //!
 //! [`MemorySystem`] exposes the two halves of the paper's mechanism:
 //!
@@ -7,7 +7,7 @@
 //!   consults the TLB for the page's tint, resolves the tint to a column mask and drives
 //!   the column cache, charging cycles for hits, misses, writebacks and TLB walks;
 //! * the **software control interface** — defining and remapping tints
-//!   ([`MemorySystem::define_tint`], [`MemorySystem::remap_tint`]), re-tinting address
+//!   ([`MemorySystem::define_tint`]), re-tinting address
 //!   ranges ([`MemorySystem::tint_range`], which updates page-table entries and flushes the
 //!   affected TLB entries exactly as Figure 3 describes), dedicating columns as scratchpad
 //!   ([`MemorySystem::map_exclusive_region`]) and marking regions uncacheable.
@@ -18,7 +18,6 @@ use crate::error::SimError;
 use crate::mask::ColumnMask;
 use crate::memory::MainMemory;
 use crate::page_table::PageTable;
-use crate::scratchpad::Scratchpad;
 use crate::stats::{BatchMemoStats, CacheStats, CycleReport, MemoryStats};
 use crate::tint::{Tint, TintTable};
 use crate::tlb::Tlb;
@@ -145,12 +144,11 @@ pub struct MemorySystem {
     tlb: Tlb,
     page_table: PageTable,
     tints: TintTable,
-    scratchpad: Option<Scratchpad>,
     memory: MainMemory,
     stats: MemoryStats,
     memo: ReplayMemo,
-    /// Cycles spent in software control operations (tint remaps, re-tints, preloads,
-    /// explicit copies). Reported separately so experiments can include or exclude them.
+    /// Cycles spent in software control operations (tint remaps, re-tints, preloads).
+    /// Reported separately so experiments can include or exclude them.
     pub control_cycles: u64,
 }
 
@@ -171,7 +169,6 @@ impl MemorySystem {
             tlb: Tlb::new(config.tlb_entries),
             page_table,
             tints: TintTable::new(columns),
-            scratchpad: None,
             memory: MainMemory::new(
                 config.latency.miss_penalty,
                 config.latency.writeback_penalty,
@@ -217,11 +214,6 @@ impl MemorySystem {
         &self.memory
     }
 
-    /// Read-only view of the dedicated scratchpad, if one is configured.
-    pub fn scratchpad(&self) -> Option<&Scratchpad> {
-        self.scratchpad.as_ref()
-    }
-
     /// Memory-system statistics (references, cycles, TLB behaviour).
     pub fn stats(&self) -> &MemoryStats {
         &self.stats
@@ -261,12 +253,6 @@ impl MemorySystem {
         self.control_cycles += 1;
         self.memo.clear_tints();
         self.tints.define(tint, mask)
-    }
-
-    /// Synonym of [`MemorySystem::define_tint`] that reads better at call sites performing
-    /// dynamic repartitioning.
-    pub fn remap_tint(&mut self, tint: Tint, mask: ColumnMask) -> Result<(), SimError> {
-        self.define_tint(tint, mask)
     }
 
     /// Gives `tint` exclusive use of the columns in `mask`: other tints lose those columns
@@ -332,30 +318,6 @@ impl MemorySystem {
         Ok(tint)
     }
 
-    /// Attaches a dedicated scratchpad SRAM covering `[base, base + size)`. Accesses to the
-    /// region are then served by the scratchpad at scratchpad latency and never touch the
-    /// cache. Used for the Panda-style static partition baseline.
-    pub fn attach_scratchpad(&mut self, base: u64, size: u64) -> Result<(), SimError> {
-        self.scratchpad = Some(Scratchpad::new(base, size)?);
-        Ok(())
-    }
-
-    /// Models the explicit software copy of `bytes` bytes into the dedicated scratchpad
-    /// (charging control cycles). Returns the cycles charged, or 0 if no scratchpad is
-    /// attached.
-    pub fn scratchpad_copy_in(&mut self, bytes: u64) -> u64 {
-        let line = self.config.cache.line_size();
-        let per_line = self.config.latency.hit_latency + self.config.latency.miss_penalty;
-        match self.scratchpad.as_mut() {
-            Some(sp) => {
-                let cycles = sp.copy_in(bytes, line, per_line);
-                self.control_cycles += cycles;
-                cycles
-            }
-            None => 0,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Hardware datapath
     // ------------------------------------------------------------------
@@ -363,11 +325,6 @@ impl MemorySystem {
     /// Replays one memory reference and returns the cycles it took.
     pub fn access(&mut self, addr: u64, is_write: bool) -> u64 {
         self.stats.references += 1;
-
-        // Dedicated scratchpad is checked first: it is a separate address region.
-        if self.scratchpad_access(addr) {
-            return self.config.latency.scratchpad_latency;
-        }
 
         // Address translation: the TLB carries the tint to the replacement unit.
         let mut cycles = 0u64;
@@ -378,7 +335,12 @@ impl MemorySystem {
             self.stats.tlb_misses += 1;
             cycles += self.config.latency.tlb_miss_penalty;
         }
-        self.finish_access(addr, is_write, entry, cycles)
+        if !entry.cacheable {
+            self.stats.uncached_accesses += 1;
+            return self.uncached_access(is_write, cycles);
+        }
+        let mask = self.tints.mask_or_default(entry.tint);
+        self.cacheable_access(addr, is_write, mask, cycles)
     }
 
     /// Replays a slice of references through the memoised fast path.
@@ -404,10 +366,6 @@ impl MemorySystem {
         let mut tint_hits = 0u64;
         for &(addr, is_write) in refs {
             self.stats.references += 1;
-            if self.scratchpad_access(addr) {
-                total += self.config.latency.scratchpad_latency;
-                continue;
-            }
             let vpn = addr >> page_shift;
             let way = ReplayMemo::translation_way(vpn);
             let (memo_vpn, memo_slot) = self.memo.translations[way];
@@ -456,38 +414,6 @@ impl MemorySystem {
         self.memo.stats.translation_hits += translation_hits;
         self.memo.stats.tint_hits += tint_hits;
         total
-    }
-
-    /// Serves `addr` from the dedicated scratchpad if one covers it, charging cycles and
-    /// statistics. Returns whether the access was absorbed.
-    #[inline]
-    fn scratchpad_access(&mut self, addr: u64) -> bool {
-        if let Some(sp) = self.scratchpad.as_mut() {
-            if sp.contains(addr) {
-                sp.record_access();
-                self.stats.scratchpad_accesses += 1;
-                self.stats.memory_cycles += self.config.latency.scratchpad_latency;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The post-translation half of an access: drives the cache (or bypasses it) and
-    /// charges cycles. `cycles` carries whatever the translation step already cost.
-    fn finish_access(
-        &mut self,
-        addr: u64,
-        is_write: bool,
-        entry: crate::page_table::PageEntry,
-        cycles: u64,
-    ) -> u64 {
-        if !entry.cacheable {
-            self.stats.uncached_accesses += 1;
-            return self.uncached_access(is_write, cycles);
-        }
-        let mask = self.tints.mask_or_default(entry.tint);
-        self.cacheable_access(addr, is_write, mask, cycles)
     }
 
     /// Charges an access that goes straight to main memory (uncacheable page or masked-out
@@ -545,18 +471,10 @@ impl MemorySystem {
         }
     }
 
-    /// Replays a sequence of `(address, is_write)` references and returns the total cycles.
-    pub fn run<I>(&mut self, refs: I) -> u64
-    where
-        I: IntoIterator<Item = (u64, bool)>,
-    {
-        refs.into_iter().map(|(a, w)| self.access(a, w)).sum()
-    }
-
     /// Builds a cycle/CPI report for everything replayed since the last statistics reset,
     /// using the configured instructions-per-reference and compute-CPI model. Control
-    /// cycles (tint management, preloads, explicit copies) are included in the memory
-    /// cycles if `include_control` is set.
+    /// cycles (tint management, preloads) are included in the memory cycles if
+    /// `include_control` is set.
     pub fn cycle_report(&self, include_control: bool) -> CycleReport {
         CycleReport::from_stats(
             &self.stats,
@@ -604,10 +522,10 @@ mod tests {
 
         // Shared cache: run A, then B (which floods all columns), then A again.
         let mut shared = system();
-        shared.run(stream_a.iter().copied());
-        shared.run(stream_b.iter().copied());
+        shared.run_batch(&stream_a);
+        shared.run_batch(&stream_b);
         shared.reset_stats();
-        shared.run(stream_a.iter().copied());
+        shared.run_batch(&stream_a);
         let shared_hits = shared.cache_stats().hits;
 
         // Partitioned cache: A owns column 0 exclusively, B gets the rest.
@@ -617,10 +535,10 @@ mod tests {
             .unwrap();
         part.tint_range(0x0000..16 * 32, Tint(1));
         part.tint_range(0x10_0000..0x10_0000 + 64 * 32, Tint(2));
-        part.run(stream_a.iter().copied());
-        part.run(stream_b.iter().copied());
+        part.run_batch(&stream_a);
+        part.run_batch(&stream_b);
         part.reset_stats();
-        part.run(stream_a.iter().copied());
+        part.run_batch(&stream_a);
         let part_hits = part.cache_stats().hits;
 
         assert_eq!(part_hits, 16, "column-isolated stream must stay resident");
@@ -635,7 +553,7 @@ mod tests {
             .unwrap();
         // pollute the rest of the cache heavily
         let pollute: Vec<(u64, bool)> = (0..1024u64).map(|i| (0x20_0000 + i * 32, false)).collect();
-        s.run(pollute);
+        s.run_batch(&pollute);
         s.reset_stats();
         // every access to the scratchpad-mapped region must hit
         let hits_expected = 512 / 32;
@@ -671,19 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn dedicated_scratchpad_routes_accesses() {
-        let mut s = system();
-        s.attach_scratchpad(0x5_0000, 1024).unwrap();
-        let c = s.access(0x5_0000, false);
-        assert_eq!(c, s.config().latency.scratchpad_latency);
-        assert_eq!(s.stats().scratchpad_accesses, 1);
-        assert_eq!(s.cache_stats().accesses, 0);
-        let copied = s.scratchpad_copy_in(1024);
-        assert!(copied > 0);
-        assert_eq!(s.scratchpad().unwrap().bytes_copied_in, 1024);
-    }
-
-    #[test]
     fn dirty_evictions_cost_writeback_cycles() {
         let mut s = system();
         // write a line, then evict it with 4 conflicting lines (4 columns)
@@ -703,7 +608,7 @@ mod tests {
     fn cycle_report_accumulates_cpi() {
         let mut s = system();
         let refs: Vec<(u64, bool)> = (0..100u64).map(|i| (i * 32, false)).collect();
-        s.run(refs);
+        s.run_batch(&refs);
         let rep = s.cycle_report(false);
         assert_eq!(
             rep.instructions,
@@ -776,9 +681,8 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_respects_scratchpad_and_uncached_regions() {
+    fn run_batch_respects_uncached_regions() {
         let mut a = system();
-        a.attach_scratchpad(0x5_0000, 1024).unwrap();
         a.set_cacheable(0x9000..0x9400, false);
         let mut b = a.clone();
         let refs: Vec<(u64, bool)> = (0..300u64)
@@ -792,9 +696,5 @@ mod tests {
         let cycles_b = b.run_batch(&refs);
         assert_eq!(cycles_a, cycles_b);
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(
-            a.scratchpad().unwrap().accesses,
-            b.scratchpad().unwrap().accesses
-        );
     }
 }

@@ -85,12 +85,6 @@ impl TintTable {
             .unwrap_or_else(|| ColumnMask::all(self.columns))
     }
 
-    /// Returns the mask of `tint` or an error naming the missing tint.
-    pub fn try_mask_of(&self, tint: Tint) -> Result<ColumnMask, SimError> {
-        self.mask_of(tint)
-            .ok_or(SimError::UnknownTint { tint: tint.0 })
-    }
-
     /// Number of tints defined (including the default tint).
     pub fn len(&self) -> usize {
         self.map.len()
@@ -174,7 +168,7 @@ mod tests {
     fn unknown_tints_fall_back_to_default() {
         let mut t = TintTable::new(4);
         assert_eq!(t.mask_or_default(Tint(9)), ColumnMask::all(4));
-        assert!(t.try_mask_of(Tint(9)).is_err());
+        assert_eq!(t.mask_of(Tint(9)), None);
         // and the fallback follows the default tint if it is remapped
         t.define(Tint::DEFAULT, ColumnMask::from_columns([0, 1]))
             .unwrap();

@@ -14,10 +14,8 @@ pub struct TlbStats {
     pub hits: u64,
     /// Lookups that had to walk the page table.
     pub misses: u64,
-    /// Entries invalidated by flushes (page-targeted or global).
+    /// Entries invalidated by page-targeted flushes.
     pub flushed_entries: u64,
-    /// Global flush operations.
-    pub global_flushes: u64,
 }
 
 impl TlbStats {
@@ -153,15 +151,6 @@ impl Tlb {
         self.slots.iter().any(|s| s.vpn == vpn)
     }
 
-    /// Invalidates the entry for page `vpn`, if resident. Returns `true` if one was dropped.
-    pub fn flush_page(&mut self, vpn: u64) -> bool {
-        let before = self.slots.len();
-        self.slots.retain(|s| s.vpn != vpn);
-        let dropped = before - self.slots.len();
-        self.stats.flushed_entries += dropped as u64;
-        dropped > 0
-    }
-
     /// Invalidates the entries of all listed pages. Returns how many were dropped.
     pub fn flush_pages(&mut self, vpns: &[u64]) -> usize {
         let before = self.slots.len();
@@ -169,13 +158,6 @@ impl Tlb {
         let dropped = before - self.slots.len();
         self.stats.flushed_entries += dropped as u64;
         dropped
-    }
-
-    /// Invalidates every entry.
-    pub fn flush_all(&mut self) {
-        self.stats.flushed_entries += self.slots.len() as u64;
-        self.stats.global_flushes += 1;
-        self.slots.clear();
     }
 }
 
@@ -242,7 +224,7 @@ mod tests {
         let (e, hit) = tlb.lookup(0x1000, &table);
         assert!(hit);
         assert_eq!(e.tint, Tint::DEFAULT); // stale!
-        tlb.flush_page(1);
+        tlb.flush_pages(&[1]);
         let (e, hit) = tlb.lookup(0x1000, &table);
         assert!(!hit);
         assert_eq!(e.tint, Tint(5));
@@ -257,11 +239,9 @@ mod tests {
         }
         assert_eq!(tlb.flush_pages(&[0, 2]), 2);
         assert_eq!(tlb.stats().flushed_entries, 2);
-        tlb.flush_all();
-        assert!(tlb.is_empty());
-        assert_eq!(tlb.stats().flushed_entries, 4);
-        assert_eq!(tlb.stats().global_flushes, 1);
-        assert!(!tlb.flush_page(99));
+        assert_eq!(tlb.len(), 2);
+        assert_eq!(tlb.flush_pages(&[99]), 0);
+        assert_eq!(tlb.stats().flushed_entries, 2);
     }
 
     #[test]

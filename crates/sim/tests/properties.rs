@@ -92,7 +92,6 @@ const GEOMETRIES: [(u64, usize, u64); 6] = [
 enum Op {
     Batch(Vec<(u64, bool)>),
     DefineTint(u32, Vec<usize>),
-    RemapTint(u32, Vec<usize>),
     MakeExclusive(u32, Vec<usize>),
     TintRange {
         page: u64,
@@ -132,8 +131,7 @@ fn program_op() -> impl Strategy<Value = Op> {
     )
         .prop_map(
             |(kind, refs, (tint, cols, column), (page, pages, flag))| match kind {
-                0 => Op::DefineTint(tint, cols),
-                1 => Op::RemapTint(tint, cols),
+                0 | 1 => Op::DefineTint(tint, cols),
                 2 => Op::MakeExclusive(tint, cols),
                 3 => Op::TintRange { page, pages, tint },
                 4 => Op::SetCacheable {
@@ -164,7 +162,6 @@ fn apply(sys: &mut MemorySystem, op: &Op, memoised: bool) -> (u64, String) {
             String::new(),
         ),
         Op::DefineTint(t, c) => (0, format!("{:?}", sys.define_tint(Tint(*t), mask(c)))),
-        Op::RemapTint(t, c) => (0, format!("{:?}", sys.remap_tint(Tint(*t), mask(c)))),
         Op::MakeExclusive(t, c) => (
             0,
             format!("{:?}", sys.make_tint_exclusive(Tint(*t), mask(c))),

@@ -211,29 +211,8 @@ impl Default for SpanCore {
     }
 }
 
-/// A start/end event fired by spans when a sink is installed
-/// ([`Registry::set_event_sink`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TelemetryEvent {
-    /// A span began.
-    SpanStart {
-        /// The span's registered name.
-        name: String,
-    },
-    /// A span finished after `nanos` nanoseconds.
-    SpanEnd {
-        /// The span's registered name.
-        name: String,
-        /// Elapsed wall-clock nanoseconds.
-        nanos: u64,
-    },
-}
-
-type EventSink = Box<dyn Fn(&TelemetryEvent) + Send + Sync>;
-
 /// A named region of work. [`Span::start`] returns an [`ActiveSpan`] guard; when the
-/// guard drops, the span's completion count and duration histogram are updated and a
-/// [`TelemetryEvent::SpanEnd`] fires if the registry has an event sink.
+/// guard drops, the span's completion count and duration histogram are updated.
 ///
 /// Snapshot semantics: the completion count is deterministic; total nanoseconds and the
 /// log2-microsecond duration buckets live under `timing`.
@@ -241,7 +220,6 @@ type EventSink = Box<dyn Fn(&TelemetryEvent) + Send + Sync>;
 pub struct Span {
     name: Arc<str>,
     core: Arc<SpanCore>,
-    sink: Arc<Mutex<Option<EventSink>>>,
 }
 
 impl std::fmt::Debug for Span {
@@ -251,11 +229,8 @@ impl std::fmt::Debug for Span {
 }
 
 impl Span {
-    /// Begins the span, firing [`TelemetryEvent::SpanStart`] when a sink is installed.
+    /// Begins the span.
     pub fn start(&self) -> ActiveSpan {
-        self.emit(&TelemetryEvent::SpanStart {
-            name: self.name.to_string(),
-        });
         ActiveSpan {
             span: self.clone(),
             started: Instant::now(),
@@ -267,24 +242,10 @@ impl Span {
         self.core.count.load(Ordering::Relaxed)
     }
 
-    fn emit(&self, event: &TelemetryEvent) {
-        // Fast path: no sink installed ⇒ one mutex lock, no formatting. Sinks are a
-        // debugging facility, not a hot-path feature.
-        if let Ok(guard) = self.sink.lock() {
-            if let Some(sink) = guard.as_ref() {
-                sink(event);
-            }
-        }
-    }
-
     fn finish(&self, nanos: u64) {
         self.core.count.fetch_add(1, Ordering::Relaxed);
         self.core.total_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.core.micros[bucket_of(nanos / 1_000)].fetch_add(1, Ordering::Relaxed);
-        self.emit(&TelemetryEvent::SpanEnd {
-            name: self.name.to_string(),
-            nanos,
-        });
     }
 }
 
@@ -309,7 +270,6 @@ struct Inner {
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: Mutex<BTreeMap<String, Arc<SpanCore>>>,
-    sink: Arc<Mutex<Option<EventSink>>>,
 }
 
 /// A named metric space: resolves names to shared [`Counter`]/[`Gauge`]/[`Histogram`]/
@@ -376,7 +336,6 @@ impl Registry {
         Span {
             name: Arc::from(name),
             core: Arc::clone(core),
-            sink: Arc::clone(&self.inner.sink),
         }
     }
 
@@ -400,11 +359,6 @@ impl Registry {
             .take_while(|(name, _)| name.starts_with(prefix))
             .map(|(name, counter)| (name.clone(), counter.get()))
             .collect()
-    }
-
-    /// Installs (or with `None` removes) the sink that receives span start/end events.
-    pub fn set_event_sink(&self, sink: Option<EventSink>) {
-        *self.inner.sink.lock().expect("telemetry lock") = sink;
     }
 
     /// The full snapshot, host-dependent numbers quarantined under `timing`.
@@ -515,7 +469,6 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn bucket_boundaries_are_exact_powers_of_two() {
@@ -561,26 +514,13 @@ mod tests {
     }
 
     #[test]
-    fn spans_count_deterministically_and_fire_events() {
+    fn spans_count_deterministically() {
         let registry = Registry::new();
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&events);
-        registry.set_event_sink(Some(Box::new(move |event| {
-            seen.lock().unwrap().push(event.clone());
-        })));
         let span = registry.span("work");
         drop(span.start());
         drop(span.start());
         assert_eq!(span.count(), 2);
-        let events = events.lock().unwrap();
-        assert_eq!(events.len(), 4);
-        assert_eq!(
-            events[0],
-            TelemetryEvent::SpanStart {
-                name: "work".to_owned()
-            }
-        );
-        assert!(matches!(events[1], TelemetryEvent::SpanEnd { ref name, .. } if name == "work"));
+        assert_eq!(registry.span("work").count(), 2);
     }
 
     #[test]
@@ -647,20 +587,5 @@ mod tests {
         counter.add(5);
         drop(map_guard);
         assert_eq!(counter.get(), 5);
-    }
-
-    #[test]
-    fn event_sink_removal_stops_delivery() {
-        let registry = Registry::new();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let sink_hits = Arc::clone(&hits);
-        registry.set_event_sink(Some(Box::new(move |_| {
-            sink_hits.fetch_add(1, Ordering::Relaxed);
-        })));
-        let span = registry.span("s");
-        drop(span.start());
-        registry.set_event_sink(None);
-        drop(span.start());
-        assert_eq!(hits.load(Ordering::Relaxed), 2); // start+end of the first only
     }
 }

@@ -423,12 +423,23 @@ pub fn is_binary_trace(bytes: &[u8]) -> bool {
 }
 
 /// Returns `true` if the file at `path` begins with the binary-trace magic (anything
-/// else — including files shorter than the magic — is treated as text).
+/// else — including files shorter than the magic — is treated as text). Every trace file
+/// is sniffed here before it is decoded, so this is also where non-files are refused.
 ///
 /// # Errors
 ///
-/// Propagates errors from opening or reading the file.
+/// Fails with [`io::ErrorKind::InvalidInput`] if `path` is not a regular file (a
+/// directory, a FIFO or a device such as `/dev/zero`, none of which is a trace), and
+/// propagates errors from opening or reading the file.
 pub fn is_binary_trace_file<P: AsRef<Path>>(path: P) -> io::Result<bool> {
+    let path = path.as_ref();
+    // Checked before opening: opening a FIFO blocks until a writer appears.
+    if !std::fs::metadata(path)?.is_file() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} is not a regular file", path.display()),
+        ));
+    }
     let mut head = [0u8; MAGIC.len()];
     let mut file = File::open(path)?;
     let mut filled = 0;

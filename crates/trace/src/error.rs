@@ -6,22 +6,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceError {
-    /// A variable identifier did not refer to any region in the symbol table.
-    UnknownVariable {
-        /// The numeric identifier that failed to resolve.
-        id: u32,
-    },
-    /// A recorded access fell outside the bounds of its variable's region.
-    OutOfBounds {
-        /// The variable's name.
-        name: String,
-        /// Byte offset of the access within the variable.
-        offset: u64,
-        /// Size in bytes of the access.
-        size: u64,
-        /// Size of the variable's region in bytes.
-        region_size: u64,
-    },
     /// A region would overlap an existing region in the symbol table.
     OverlappingRegion {
         /// Name of the new region.
@@ -51,18 +35,6 @@ pub enum TraceError {
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::UnknownVariable { id } => {
-                write!(f, "unknown variable id {id}")
-            }
-            TraceError::OutOfBounds {
-                name,
-                offset,
-                size,
-                region_size,
-            } => write!(
-                f,
-                "access of {size} bytes at offset {offset} is outside variable `{name}` of {region_size} bytes"
-            ),
             TraceError::OverlappingRegion { name, existing } => {
                 write!(f, "region `{name}` overlaps existing region `{existing}`")
             }
@@ -87,16 +59,12 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = TraceError::UnknownVariable { id: 7 };
-        assert_eq!(e.to_string(), "unknown variable id 7");
-        let e = TraceError::OutOfBounds {
+        let e = TraceError::OverlappingRegion {
             name: "buf".into(),
-            offset: 100,
-            size: 8,
-            region_size: 64,
+            existing: "table".into(),
         };
         assert!(e.to_string().contains("buf"));
-        assert!(e.to_string().contains("64"));
+        assert!(e.to_string().contains("table"));
         let e = TraceError::BadAlignment { align: 3 };
         assert!(e.to_string().contains('3'));
     }

@@ -44,12 +44,6 @@ impl AccessKind {
     pub fn is_write(self) -> bool {
         matches!(self, AccessKind::Write)
     }
-
-    /// Returns `true` for [`AccessKind::Read`].
-    #[inline]
-    pub fn is_read(self) -> bool {
-        matches!(self, AccessKind::Read)
-    }
 }
 
 impl fmt::Display for AccessKind {
@@ -142,10 +136,8 @@ mod tests {
 
     #[test]
     fn access_kind_predicates() {
-        assert!(AccessKind::Read.is_read());
         assert!(!AccessKind::Read.is_write());
         assert!(AccessKind::Write.is_write());
-        assert!(!AccessKind::Write.is_read());
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //!   [`binfmt::TraceReader`] that replays traces larger than memory.
 //! * [`textfmt`] — the line-oriented text trace format (`R 0x1000 4`) for hand-written
 //!   traces and inspection.
+//! * [`load_trace`] — the one loader of trace files, in either format.
 //!
 //! # Example
 //!
@@ -66,3 +67,22 @@ pub use profile::{AccessProfile, VariableProfile};
 pub use recorder::TraceRecorder;
 pub use region::{SymbolTable, VariableRegion};
 pub use trace::Trace;
+
+use std::io::{self, BufReader};
+use std::path::Path;
+
+/// Loads a whole trace file in either on-disk format: [`binfmt::is_binary_trace_file`]
+/// sniffs it (refusing anything that is not a regular file), then [`binfmt`] or
+/// [`textfmt`] decodes it.
+///
+/// # Errors
+///
+/// Fails if the path is not a regular file, on I/O errors, and on malformed contents.
+pub fn load_trace<P: AsRef<Path>>(path: P) -> io::Result<Trace> {
+    let path = path.as_ref();
+    if binfmt::is_binary_trace_file(path)? {
+        TraceReader::open(path)?.read_to_trace()
+    } else {
+        textfmt::read_trace(BufReader::new(std::fs::File::open(path)?))
+    }
+}

@@ -6,7 +6,6 @@
 //! for any time interval, the number of accesses each variable makes inside it. An
 //! [`AccessProfile`] captures exactly this information.
 
-use crate::error::TraceError;
 use crate::event::VarId;
 use crate::lifetime::Interval;
 use crate::region::SymbolTable;
@@ -117,12 +116,6 @@ impl AccessProfile {
         self.profiles.get(&var)
     }
 
-    /// Returns the profile of one variable or an error naming it.
-    pub fn try_get(&self, var: VarId) -> Result<&VariableProfile, TraceError> {
-        self.get(var)
-            .ok_or(TraceError::UnknownVariable { id: var.0 })
-    }
-
     /// Iterates over the per-variable profiles in `VarId` order.
     pub fn iter(&self) -> impl Iterator<Item = &VariableProfile> {
         self.profiles.values()
@@ -147,14 +140,6 @@ impl AccessProfile {
         let n_a = pa.accesses_in(&delta);
         let n_b = pb.accesses_in(&delta);
         n_a.min(n_b)
-    }
-
-    /// Variables sorted by decreasing access count — the "heavily accessed" ranking used in
-    /// Step 1 of the layout algorithm.
-    pub fn by_access_count(&self) -> Vec<&VariableProfile> {
-        let mut v: Vec<&VariableProfile> = self.profiles.values().collect();
-        v.sort_by(|a, b| b.accesses.cmp(&a.accesses).then(a.var.cmp(&b.var)));
-        v
     }
 }
 
@@ -257,16 +242,6 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert_eq!(p.get(a).unwrap().accesses, 1);
         assert_eq!(p.trace_len, 2);
-    }
-
-    #[test]
-    fn ranking_by_access_count() {
-        let (t, s, _a, b) = two_var_setup();
-        let p = AccessProfile::from_trace(&t, &s);
-        let ranked = p.by_access_count();
-        assert_eq!(ranked[0].var, b);
-        assert_eq!(ranked.len(), 2);
-        assert!(p.try_get(VarId(99)).is_err());
     }
 
     #[test]

@@ -158,12 +158,6 @@ impl SymbolTable {
         self.regions.get(id.index())
     }
 
-    /// Returns the region of variable `id` or an [`TraceError::UnknownVariable`] error.
-    pub fn try_region(&self, id: VarId) -> Result<&VariableRegion, TraceError> {
-        self.region(id)
-            .ok_or(TraceError::UnknownVariable { id: id.0 })
-    }
-
     /// Looks a region up by name. Linear scan; intended for tests and small tables.
     pub fn by_name(&self, name: &str) -> Option<&VariableRegion> {
         self.regions.iter().find(|r| r.name == name)
@@ -177,11 +171,6 @@ impl SymbolTable {
     /// Iterates over all regions in allocation order.
     pub fn iter(&self) -> impl Iterator<Item = &VariableRegion> {
         self.regions.iter()
-    }
-
-    /// Returns the lowest address past every allocated region.
-    pub fn high_water_mark(&self) -> u64 {
-        self.next_addr
     }
 
     /// Total number of bytes occupied by all regions (not counting alignment gaps).
@@ -288,14 +277,5 @@ mod tests {
         assert_eq!(align_up(8, 8), 8);
         assert_eq!(align_up(9, 8), 16);
         assert_eq!(align_up(0x1001, 0x1000), 0x2000);
-    }
-
-    #[test]
-    fn try_region_reports_unknown() {
-        let st = SymbolTable::new();
-        assert!(matches!(
-            st.try_region(VarId(4)),
-            Err(TraceError::UnknownVariable { id: 4 })
-        ));
     }
 }

@@ -14,17 +14,20 @@
 //! This is the human-facing companion of the compact binary format in [`crate::binfmt`]:
 //! `ccache trace convert` translates between the two. Like the binary format, variable
 //! annotations are not represented. Parse problems are reported as [`std::io::Error`]
-//! with [`std::io::ErrorKind::InvalidData`] and a line number.
+//! with [`std::io::ErrorKind::InvalidData`] and a line number; messages never quote the
+//! input, so a file read on someone else's behalf does not leak through its errors.
 
 use crate::event::{AccessKind, MemAccess};
 use crate::trace::Trace;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
-fn invalid(line_no: usize, msg: &str, line: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("line {line_no}: {msg}: {line:?}"),
-    )
+/// Longest line [`read_trace`] accepts, in bytes (without the newline). A legal event line
+/// is under 48 bytes; the cap leaves room for comments while bounding what one line of an
+/// endless or binary input can make the reader buffer.
+pub const MAX_LINE_BYTES: usize = 4096;
+
+fn invalid(line_no: usize, msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("line {line_no}: {msg}"))
 }
 
 fn parse_u64(token: &str) -> Option<u64> {
@@ -43,24 +46,24 @@ fn parse_u64(token: &str) -> Option<u64> {
 /// # Errors
 ///
 /// Fails with [`std::io::ErrorKind::InvalidData`] if the line is not `R|W <addr> <size>`.
-pub fn parse_line(line_no: usize, line: &str) -> io::Result<MemAccess> {
+fn parse_line(line_no: usize, line: &str) -> io::Result<MemAccess> {
     let mut tokens = line.split_whitespace();
     let kind = match tokens.next() {
         Some("R") | Some("r") => AccessKind::Read,
         Some("W") | Some("w") => AccessKind::Write,
-        _ => return Err(invalid(line_no, "expected access kind 'R' or 'W'", line)),
+        _ => return Err(invalid(line_no, "expected access kind 'R' or 'W'")),
     };
     let addr = tokens
         .next()
         .and_then(parse_u64)
-        .ok_or_else(|| invalid(line_no, "expected an address", line))?;
+        .ok_or_else(|| invalid(line_no, "expected an address"))?;
     let size = tokens
         .next()
         .and_then(parse_u64)
         .and_then(|s| u32::try_from(s).ok())
-        .ok_or_else(|| invalid(line_no, "expected a size in bytes", line))?;
+        .ok_or_else(|| invalid(line_no, "expected a size in bytes"))?;
     if tokens.next().is_some() {
-        return Err(invalid(line_no, "trailing tokens after size", line));
+        return Err(invalid(line_no, "trailing tokens after size"));
     }
     Ok(MemAccess {
         addr,
@@ -74,16 +77,30 @@ pub fn parse_line(line_no: usize, line: &str) -> io::Result<MemAccess> {
 ///
 /// # Errors
 ///
-/// Fails on I/O errors or malformed lines.
-pub fn read_trace<R: BufRead>(source: R) -> io::Result<Trace> {
+/// Fails on I/O errors, on malformed lines and on any line longer than
+/// [`MAX_LINE_BYTES`], which is refused without being buffered whole.
+pub fn read_trace<R: BufRead>(mut source: R) -> io::Result<Trace> {
     let mut trace = Trace::new();
-    for (i, line) in source.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
+    let mut line = Vec::new();
+    for line_no in 1.. {
+        line.clear();
+        // One byte past the cap is enough to tell an overlong line from a full one.
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        if (&mut source).take(cap).read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_LINE_BYTES {
+            let msg = format!("longer than {MAX_LINE_BYTES} bytes");
+            return Err(invalid(line_no, &msg));
+        }
+        let text = std::str::from_utf8(&line).map_err(|_| invalid(line_no, "not UTF-8"))?;
+        let trimmed = text.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        trace.push(parse_line(i + 1, trimmed)?);
+        trace.push(parse_line(line_no, trimmed)?);
     }
     Ok(trace)
 }
@@ -153,5 +170,30 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("line 2"), "{err}");
         }
+    }
+
+    #[test]
+    fn messages_do_not_quote_the_input() {
+        let err = read_trace("secret-marker\n".as_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "line 1: expected access kind 'R' or 'W'");
+    }
+
+    #[test]
+    fn endless_lines_are_refused_without_buffering_them() {
+        let err = read_trace(io::BufReader::new(io::repeat(b'R'))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 1: longer than 4096 bytes");
+        // A line exactly at the cap is still read (and then parsed).
+        let long = format!("R 0x10 4{}\nR 0x20 4\n", " ".repeat(MAX_LINE_BYTES - 8));
+        assert_eq!(read_trace(long.as_bytes()).unwrap().len(), 2);
+        let over = format!("R 0x10 4{}\n", " ".repeat(MAX_LINE_BYTES - 7));
+        assert!(read_trace(over.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn crlf_and_unterminated_last_lines_are_accepted() {
+        let trace = read_trace("R 0x10 4\r\nW 0x20 8".as_bytes()).unwrap();
+        assert_eq!(trace.len(), 2);
+        assert!(trace.get(1).unwrap().is_write());
     }
 }

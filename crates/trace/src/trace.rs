@@ -1,7 +1,6 @@
 //! Ordered sequences of memory references.
 
 use crate::event::{AccessKind, MemAccess, VarId};
-use std::collections::BTreeMap;
 
 /// An ordered sequence of memory references produced by one program, task or kernel.
 ///
@@ -99,17 +98,6 @@ impl Trace {
     /// Number of events attributed to variable `var`.
     pub fn count_for(&self, var: VarId) -> usize {
         self.events.iter().filter(|e| e.var == Some(var)).count()
-    }
-
-    /// Per-variable access counts, for events that carry a variable annotation.
-    pub fn counts_by_var(&self) -> BTreeMap<VarId, usize> {
-        let mut map = BTreeMap::new();
-        for e in &self.events {
-            if let Some(v) = e.var {
-                *map.entry(v).or_insert(0) += 1;
-            }
-        }
-        map
     }
 
     /// The set of distinct cache-line addresses touched, for a given line size in bytes.
@@ -257,12 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn counts_by_var_groups_annotated_events() {
+    fn count_for_counts_annotated_events() {
         let t = sample();
-        let counts = t.counts_by_var();
-        assert_eq!(counts[&VarId(0)], 2);
-        assert_eq!(counts[&VarId(1)], 1);
         assert_eq!(t.count_for(VarId(0)), 2);
+        assert_eq!(t.count_for(VarId(1)), 1);
         assert_eq!(t.count_for(VarId(7)), 0);
     }
 

@@ -186,6 +186,39 @@ proptest! {
         prop_assert_eq!(back, trace);
     }
 
+    /// The text decoder answers `Ok` or `Err` on any byte string and never panics. Bytes
+    /// drawn from the grammar's own alphabet get past the UTF-8 check to the parser.
+    #[test]
+    fn text_decoder_survives_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..512),
+        picks in prop::collection::vec(0usize..12, 0..512),
+    ) {
+        let _ = textfmt::read_trace(&raw[..]);
+        let alphabet = b"RWrw0x9aF #\n";
+        let near: Vec<u8> = picks.iter().map(|&i| alphabet[i]).collect();
+        let _ = textfmt::read_trace(&near[..]);
+    }
+
+    /// The binary decoder answers `Ok` or `Err` on any byte string and never panics.
+    /// Behind a valid header (declaring any event count) the bytes reach the body
+    /// decoder, and a trace it accepts holds exactly the declared events.
+    #[test]
+    fn binary_decoder_survives_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..512),
+        events in any::<u64>(),
+    ) {
+        let _ = binfmt::read_trace(&raw[..]);
+        let mut framed = binfmt::MAGIC.to_vec();
+        framed.extend_from_slice(&binfmt::FORMAT_VERSION.to_le_bytes());
+        framed.extend_from_slice(&(events % 64).to_le_bytes());
+        framed.extend_from_slice(&raw);
+        if let Ok(trace) = binfmt::read_trace(&framed[..]) {
+            prop_assert_eq!(trace.len() as u64, events % 64);
+        }
+        framed[8..16].copy_from_slice(&events.to_le_bytes());
+        let _ = binfmt::read_trace(&framed[..]);
+    }
+
     /// Interval hull and intersection are consistent: the intersection (when it exists) is
     /// contained in the hull, and the hull length is at least both input lengths.
     #[test]

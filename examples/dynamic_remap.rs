@@ -60,7 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tint,
             system.page_table().configured_pages()
         );
-        let cycles = system.run(run.trace.iter().map(|e| (e.addr, e.is_write())));
+        let refs: Vec<(u64, bool)> = run.trace.iter().map(|e| (e.addr, e.is_write())).collect();
+        let cycles = system.run_batch(&refs);
         total += cycles;
         println!(
             "phase {} finished: {} cycles, hit rate {:.1}%",

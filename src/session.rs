@@ -237,11 +237,6 @@ impl Session {
         self.quick
     }
 
-    /// The observation window, when the session observes.
-    pub fn observe_window(&self) -> Option<u64> {
-        self.observe
-    }
-
     /// The telemetry registry the session reports into (the process-wide global unless
     /// [`SessionBuilder::telemetry`] installed a private one).
     pub fn telemetry(&self) -> &Registry {
@@ -392,15 +387,6 @@ impl Session {
         let key = self.spec_key(spec);
         let artefact = self.run_spec(spec)?;
         Ok((key, artefact.to_json().pretty()))
-    }
-
-    /// As [`Session::run_spec`], parsing the spec from JSON text first.
-    ///
-    /// # Errors
-    ///
-    /// Fails on JSON syntax errors, structural spec problems and execution failures.
-    pub fn run_spec_str(&self, text: &str) -> Result<Artefact, SessionError> {
-        self.run_spec(&ExperimentSpec::parse_str(text)?)
     }
 
     /// The execution options the session's settings compile to.
@@ -603,8 +589,9 @@ mod tests {
                        "policies": ["shared", "heuristic"], "label": "policy"}]}"#;
         let plain = Session::builder().quick(true).build().unwrap();
         let observing = Session::builder().quick(true).observe(512).build().unwrap();
-        let a = plain.run_spec_str(spec).unwrap();
-        let b = observing.run_spec_str(spec).unwrap();
+        let spec = ExperimentSpec::parse_str(spec).unwrap();
+        let a = plain.run_spec(&spec).unwrap();
+        let b = observing.run_spec(&spec).unwrap();
         assert_eq!(a.outcomes.len(), 2);
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
             let (

@@ -4,8 +4,7 @@
 
 use column_caching::core::runner::{run_trace, CacheMapping, RegionMapping};
 use column_caching::layout::{
-    assign_columns, conflict_graph_from_trace, plan_phases, LayoutOptions, ProgramIr, Stmt,
-    WeightOptions,
+    assign_columns, conflict_graph_from_trace, plan_phases, LayoutOptions, WeightOptions,
 };
 use column_caching::prelude::*;
 use column_caching::sim::SystemConfig;
@@ -64,44 +63,6 @@ fn conflicting_streams_are_separated_and_conflict_misses_disappear() {
     let managed = run_trace("managed", sys_config(), &mapping, &trace).unwrap();
     // each array is 512 bytes = 16 lines; after the cold pass everything must hit
     assert_eq!(managed.misses, 32);
-}
-
-#[test]
-fn static_analysis_agrees_with_profile_on_a_simple_loop_nest() {
-    // Build the same program twice: once as an executed trace, once as IR.
-    let mut rec = TraceRecorder::new();
-    let x = rec.allocate("x", 256, 8);
-    let y = rec.allocate("y", 256, 8);
-    let z = rec.allocate("z", 256, 8);
-    // phase 1: x and y together; phase 2: z alone
-    for i in 0..32u64 {
-        rec.read(x, (i % 32) * 8, 8);
-        rec.write(y, (i % 32) * 8, 8);
-    }
-    for i in 0..32u64 {
-        rec.read(z, (i % 32) * 8, 8);
-    }
-    let (trace, symbols) = rec.finish();
-    let (profile_graph, _) = conflict_graph_from_trace(&trace, &symbols, &WeightOptions::default());
-
-    let ir = ProgramIr::from_stmts(vec![
-        Stmt::repeat(32, vec![Stmt::read(x, 1), Stmt::write(y, 1)]),
-        Stmt::repeat(32, vec![Stmt::read(z, 1)]),
-    ]);
-    let (static_graph, vars) = ir.conflict_graph(&symbols);
-    assert_eq!(vars.len(), 3);
-
-    // Both methods agree on the structure: x conflicts with y, z conflicts with neither.
-    let (px, py, pz) = (0, 1, 2);
-    assert!(profile_graph.weight(px, py) > 0);
-    assert_eq!(profile_graph.weight(px, pz), 0);
-    assert_eq!(profile_graph.weight(py, pz), 0);
-    let sx = vars.iter().position(|v| *v == x).unwrap();
-    let sy = vars.iter().position(|v| *v == y).unwrap();
-    let sz = vars.iter().position(|v| *v == z).unwrap();
-    assert!(static_graph.weight(sx, sy) > 0);
-    assert_eq!(static_graph.weight(sx, sz), 0);
-    assert_eq!(static_graph.weight(sy, sz), 0);
 }
 
 #[test]

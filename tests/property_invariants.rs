@@ -82,7 +82,7 @@ proptest! {
     ) {
         let mut sys = MemorySystem::new(SystemConfig { page_size: 256, ..SystemConfig::default() }).unwrap();
         sys.map_exclusive_region(0x8000, 512, ColumnMask::single(3), Tint(9), true).unwrap();
-        sys.run(pollution);
+        sys.run_batch(&pollution);
         sys.reset_stats();
         for i in 0..16u64 {
             sys.access(0x8000 + i * 32, false);
